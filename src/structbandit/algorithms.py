@@ -5,8 +5,9 @@ Four agents behind one select/observe interface:
 * ``SaeAgent`` -- phased round-robin elimination against a fixed horizon.
 * ``AsaeAgent`` -- anytime wrapper that reruns the elimination schedule over
   squashed-doubling periods, carrying the confidence set across periods.
-* ``SucbAgent`` -- optimism baseline that rebuilds the model confidence set
-  every step and pulls the most optimistic arm.
+* ``SucbAgent`` -- optimism baseline (UCB-S) that keeps the model confidence
+  set as one contiguous run of models per arm, refitting only the arm pulled
+  last, and pulls the most optimistic arm.
 * ``Ucb1Agent`` -- structure-blind index baseline.
 
 ``Environment`` draws rewards for the true model; ``simulate`` runs one agent
@@ -15,6 +16,7 @@ against one environment and records pseudo-regret at checkpoints.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -395,13 +397,28 @@ class AsaeAgent(_EliminationAgent):
 
 
 class SucbAgent(_Agent):
-    """Structured UCB: per-step confidence set plus optimistic arm choice.
+    """Structured UCB (the optimistic rule of UCB-S): confidence set plus optimism.
 
     At step t the active models are those within radius
     sqrt(coeff*log(max(t,2))/T_i) of every pulled arm's empirical mean,
-    where coeff = alpha, or 2*alpha*sigma2 when sigma2 is set.  The arm with
-    the largest supremum mean over active models is pulled, lowest index on
-    ties; an empty set falls back to the empirical-best pulled arm.
+    where coeff = alpha, or 2*alpha*sigma2 when sigma2 is set: model k
+    passes arm i when (mu_ki - S_i/T_i)^2 < coeff*log(max(t,2))/T_i, in
+    float64.  The arm with the largest supremum mean over active models is
+    pulled, lowest index on ties; an empty set falls back to the
+    empirical-best pulled arm.
+
+    The set is kept incrementally and is, step for step, the set the dense
+    test above gives: the same float expressions decide every comparison.
+    On each arm the passing models form one contiguous run of that arm's
+    column sorted by (mean, model index), since the rounded squared
+    deviation never shrinks away from the empirical mean.  Between pulls of
+    an arm only log(t) moves, so its run can only widen, past its outer
+    neighbours.  Each step refits the run of the arm pulled last and every
+    run whose nearer outer neighbour now passes (each arm keeps the scale
+    coeff*log(t) at which that happens), and counts for each model the
+    pulled arms whose run excludes it; the active models are those with
+    count zero.  The optimistic arm is recomputed only when that set
+    changes.
     """
 
     def __init__(self, structure: Structure, config: AgentConfig) -> None:
@@ -412,29 +429,107 @@ class SucbAgent(_Agent):
         else:
             self._coeff = 2.0 * config.alpha * config.sigma2
         self._means = np.array([m.means for m in structure.models], dtype=np.float64)
-        self._pull_arr = np.zeros(structure.arm_count, dtype=np.float64)
-        self._sum_arr = np.zeros(structure.arm_count, dtype=np.float64)
-        self._model_mask = np.ones(structure.model_count, dtype=bool)
+        model_count = structure.model_count
+        order = np.argsort(self._means, axis=0, kind="stable")
+        self._order = order.T.tolist()
+        self._column = np.take_along_axis(self._means, order, axis=0).T.tolist()
+        # an unpulled arm keeps the full run and excludes no model
+        self._lo = [0] * self.arm_count
+        self._hi = [model_count] * self.arm_count
+        # per arm, a lower bound on the scale coeff*log(t) at which its run
+        # next widens; inf while unpulled
+        self._wake = [math.inf] * self.arm_count
+        self._excluded = [0] * model_count
+        self._active = model_count
+        self._model_mask = np.ones(model_count, dtype=bool)
+        self._changed = False
+        self._arm = int(np.argmax(self._means.max(axis=0)))
+        self._observed: int | None = None
 
     def _choose(self) -> int:
-        pulled = self._pull_arr > 0.0
-        if pulled.any():
-            counts = self._pull_arr[pulled]
-            emp = self._sum_arr[pulled] / counts
-            rad2 = self._coeff * math.log(max(self._step + 1, 2)) / counts
-            diff = self._means[:, pulled] - emp
-            mask = (diff * diff < rad2).all(axis=1)
-        else:
-            mask = np.ones(len(self._means), dtype=bool)
-        self._model_mask = mask
-        if not mask.any():
+        scaled = self._coeff * math.log(max(self._step + 1, 2))
+        if self._observed is not None:
+            self._refit(self._observed, scaled)
+            self._observed = None
+            if min(self._wake) <= scaled:
+                for arm, wake in enumerate(self._wake):
+                    if wake <= scaled:
+                        self._refit(arm, scaled)
+        if self._changed:
+            self._changed = False
+            if self._active:
+                self._arm = int(np.argmax(self._means[self._model_mask].max(axis=0)))
+        if not self._active:
             return _empirical_best(self._pulls, self._rewards)
-        sup = self._means[mask].max(axis=0)
-        return int(np.argmax(sup))
+        return self._arm
 
     def _after_observe(self, arm: int) -> None:
-        self._pull_arr[arm] += 1.0
-        self._sum_arr[arm] = self._rewards[arm]
+        self._observed = arm
+
+    def _refit(self, arm: int, scaled: float) -> None:
+        """Move arm's run to the models passing it at log-radius scale `scaled`.
+
+        Below the split (the first sorted mean >= the empirical mean) the
+        passing models are a suffix, from the split on a prefix; each end is
+        found by walking from its old position.
+        """
+        count = self._pulls[arm]
+        mean = self._rewards[arm] / count
+        rad2 = scaled / count
+        column = self._column[arm]
+        size = len(column)
+        split = bisect.bisect_left(column, mean)
+        lo, hi = self._lo[arm], self._hi[arm]
+
+        def passes(j: int) -> bool:
+            d = column[j] - mean
+            return d * d < rad2
+
+        new_lo = min(lo, split)
+        while new_lo < split and not passes(new_lo):
+            new_lo += 1
+        while new_lo > 0 and passes(new_lo - 1):
+            new_lo -= 1
+        new_hi = max(hi, split)
+        while new_hi > split and not passes(new_hi - 1):
+            new_hi -= 1
+        while new_hi < size and passes(new_hi):
+            new_hi += 1
+
+        if new_lo != lo or new_hi != hi:
+            order = self._order[arm]
+            excluded = self._excluded
+            mask = self._model_mask
+            for start, stop in ((lo, min(hi, new_lo)), (max(lo, new_hi), hi)):
+                for j in range(start, stop):
+                    k = order[j]
+                    excluded[k] += 1
+                    if excluded[k] == 1:
+                        mask[k] = False
+                        self._active -= 1
+                        self._changed = True
+            for start, stop in ((new_lo, min(new_hi, lo)), (max(new_lo, hi), new_hi)):
+                for j in range(start, stop):
+                    k = order[j]
+                    excluded[k] -= 1
+                    if excluded[k] == 0:
+                        mask[k] = True
+                        self._active += 1
+                        self._changed = True
+            self._lo[arm], self._hi[arm] = new_lo, new_hi
+
+        nearest = math.inf
+        if new_lo > 0:
+            d = column[new_lo - 1] - mean
+            nearest = d * d
+        if new_hi < size:
+            d = column[new_hi] - mean
+            nearest = min(nearest, d * d)
+        # the neighbour passes once fl(scaled / count) > nearest, which needs
+        # scaled > nearest * count in exact arithmetic; one ulp below the
+        # rounded product never wakes late, and an early wake refits to the
+        # same run
+        self._wake[arm] = math.nextafter(nearest * count, 0.0)
 
     def snapshot(self) -> AgentState:
         return AgentState(

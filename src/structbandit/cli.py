@@ -5,7 +5,8 @@ reports and deterministic elimination tables), classify (structure class
 predicates), gen (structure files), paper-suite (the four reference
 experiments plus pull tables).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 runtime failure (or, for paper-suite, a failed
+check once every output is written), 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -115,24 +116,42 @@ def _agent_configs(entries) -> tuple[AgentConfig, ...]:
     return tuple(configs)
 
 
+def _strict_int(value, field: str) -> int:
+    """A JSON integer (not a bool), else a UsageError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"config field '{field}' must be an integer, got {value!r}")
+    return value
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers)
     data = _load_json(args.config, "config")
-    try:
-        horizon = int(data["horizon"])
-    except KeyError:
+    if not isinstance(data, dict):
+        raise UsageError("config must be a JSON object")
+    if "horizon" not in data:
         raise UsageError("config is missing 'horizon'")
+    horizon = _strict_int(data["horizon"], "horizon")
     agents = _agent_configs(data.get("agents"))
-    runs = int(data.get("runs", 100))
-    base_seed = int(data.get("base_seed", 0)) if args.seed is None else args.seed
-    level = float(data.get("level", 0.95))
+    runs = _strict_int(data.get("runs", 100), "runs")
+    base_seed = args.seed
+    if base_seed is None:
+        base_seed = _strict_int(data.get("base_seed", 0), "base_seed")
+    level = data.get("level", 0.95)
+    if isinstance(level, bool) or not isinstance(level, (int, float)):
+        raise UsageError(f"config field 'level' must be a number, got {level!r}")
+    level = float(level)
     checkpoints = data.get("checkpoints")
     if checkpoints is not None:
-        checkpoints = tuple(int(c) for c in checkpoints)
+        if not isinstance(checkpoints, list):
+            raise UsageError(f"config field 'checkpoints' must be a list, got {checkpoints!r}")
+        checkpoints = tuple(_strict_int(c, f"checkpoints[{i}]") for i, c in enumerate(checkpoints))
     entry = data.get("structure")
     if entry is None:
         raise UsageError("config is missing 'structure'")
-    fresh = bool(data.get("fresh_structure_per_run", False))
+    fresh = data.get("fresh_structure_per_run", False)
+    if not isinstance(fresh, bool):
+        raise UsageError(
+            f"config field 'fresh_structure_per_run' must be true or false, got {fresh!r}")
     try:
         if fresh:
             if not isinstance(entry, dict) or entry.get("builder") != "random":
@@ -364,13 +383,18 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
             shutil.copyfile(src, os.path.join(fig4, f"{label}_{tag}_pulls.csv"))
 
     print()
+    return _report_checks(checks, args.out)
+
+
+def _report_checks(checks: list[tuple[str, str, bool]], out: str) -> int:
+    """Print one PASS/FAIL line per check and a summary; exit code 1 if any failed."""
     failed = 0
     for figure, name, ok in checks:
         status = "PASS" if ok else "FAIL"
         failed += 0 if ok else 1
         print(f"{status} {figure}: {name}")
-    print(f"{len(checks) - failed}/{len(checks)} checks passed; outputs in {args.out}")
-    return 0
+    print(f"{len(checks) - failed}/{len(checks)} checks passed; outputs in {out}")
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,14 @@
 
 Everything here is written as plain double loops straight off the
 definitions, reading only model means and the true index.  The package
-implementations are tested against these for exact agreement.
+implementations are tested against these for exact agreement.  The one
+exception is SUCB's confidence set, kept as the dense per-step recompute
+the agent once ran, so that the incremental agent can be held to its bits.
 """
 
 import math
+
+import numpy as np
 
 TOL = 1e-12
 
@@ -138,3 +142,36 @@ def oracle_in_cr(structure):
             if abs(row[j] - true[j]) > TOL:
                 return False
     return True
+
+
+def sucb_active_mask(structure, pulls, rewards, t, coeff):
+    """SUCB's model confidence set at step t, rebuilt densely.
+
+    Model k passes pulled arm i when (mu_ki - S_i/T_i)^2 <
+    coeff*log(max(t,2))/T_i, in the float64 expressions and order SUCB
+    uses; the set is the models passing every pulled arm.
+    """
+    means = np.array([m.means for m in structure.models], dtype=np.float64)
+    pull_arr = np.array(pulls, dtype=np.float64)
+    pulled = pull_arr > 0.0
+    if not pulled.any():
+        return np.ones(len(means), dtype=bool)
+    counts = pull_arr[pulled]
+    emp = np.array(rewards, dtype=np.float64)[pulled] / counts
+    rad2 = coeff * math.log(max(t, 2)) / counts
+    diff = means[:, pulled] - emp
+    return (diff * diff < rad2).all(axis=1)
+
+
+def sucb_arm(structure, mask, pulls, rewards):
+    """SUCB's pick for a confidence set: the most optimistic arm, lowest
+    index on ties, or the best empirical mean among pulled arms when the
+    set is empty."""
+    if mask.any():
+        means = np.array([m.means for m in structure.models], dtype=np.float64)
+        return int(np.argmax(means[mask].max(axis=0)))
+    best, best_mean = -1, -math.inf
+    for i, count in enumerate(pulls):
+        if count and rewards[i] / count > best_mean:
+            best, best_mean = i, rewards[i] / count
+    return best

@@ -8,6 +8,7 @@ import pytest
 
 import structbandit as sb
 from helpers import mk
+from oracles import sucb_active_mask, sucb_arm
 
 FIG_LEFT_CONFIG = sb.AgentConfig("sae", alpha=2.0, beta=1.0, horizon=10_000)
 
@@ -268,6 +269,73 @@ def test_sucb_sigma2_widens_radius(fig_right):
     wide = sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0, sigma2=4.0))
     assert base._coeff == 2.0  # radius^2 scale = alpha
     assert wide._coeff == 16.0  # 2 * alpha * sigma2
+
+
+def sucb_lockstep(structure, config, seed, steps, rewards=None):
+    """Step SUCB against the dense oracle, checking its arm and set each step.
+
+    Rewards come from the environment, or from rewards(arm, step) when
+    given.  Returns the active-model tuples after each select.
+    """
+    agent = sb.sucb_agent(structure, config)
+    env = sb.Environment(structure, seed=seed)
+    coeff = config.alpha if config.sigma2 is None else 2.0 * config.alpha * config.sigma2
+    sets = []
+    for t in range(1, steps + 1):
+        state = agent.snapshot()
+        mask = sucb_active_mask(structure, state.pull_counts, state.reward_sums, t, coeff)
+        arm = agent.select()
+        assert arm == sucb_arm(structure, mask, state.pull_counts, state.reward_sums), t
+        active = agent.snapshot().active_models
+        assert active == tuple(np.flatnonzero(mask).tolist()), t
+        sets.append(active)
+        agent.observe(arm, env.pull(arm) if rewards is None else rewards(arm, t))
+    return sets
+
+
+@pytest.mark.parametrize("case", [
+    "figure_left", "flat_variant", "figure_right", "figure_right_low_fourth",
+    "random", "gaussian_sigma2", "empty_set_fallback"])
+def test_sucb_matches_dense_oracle(case):
+    # the incremental confidence set against the dense per-step recompute:
+    # figure_left has many tied 0.8 means on arm 1, the small alpha empties
+    # the set so the empirical-best fallback runs
+    right = sb.build_figure_right()
+    structure, config = {
+        "figure_left": (sb.build_figure_left(), sb.AgentConfig("sucb")),
+        "flat_variant": (sb.build_figure_left(informative_arm2=False), sb.AgentConfig("sucb")),
+        "figure_right": (right, sb.AgentConfig("sucb", alpha=4.0)),
+        "figure_right_low_fourth": (sb.build_figure_right(0.2), sb.AgentConfig("sucb")),
+        "random": (sb.generate_random(sb.GeneratorSpec(
+            arm_count=6, base_model_count=20, hard_model_count=10, seed=3)),
+            sb.AgentConfig("sucb")),
+        "gaussian_sigma2": (sb.Structure(models=right.models, true_index=0,
+                                         reward=sb.RewardSpec("gaussian", 0.25)),
+                            sb.AgentConfig("sucb", alpha=1.0, sigma2=0.25)),
+        "empty_set_fallback": (right, sb.AgentConfig("sucb", alpha=0.05)),
+    }[case]
+    for seed in (0, 1):
+        sets = sucb_lockstep(structure, config, seed, 2500)
+        assert len(set(sets)) > 1  # the set moved
+        if case == "empty_set_fallback":
+            assert () in sets
+
+
+def test_sucb_model_reenters_between_pulls():
+    # one zero reward on arm 0 drops model 1 (0.9 there) at t = 2; while
+    # SUCB plays arm 1, 0.5 log t / 1 passes 0.81 at t = 6 and model 1
+    # returns without another pull of arm 0
+    structure = mk([[0.2, 0.5], [0.9, 0.5]], 0)
+    config = sb.AgentConfig("sucb", alpha=0.5)
+    pulled = []
+
+    def rewards(arm, t):
+        pulled.append(arm)
+        return 0.0 if arm == 0 else float(t % 2)
+
+    sets = sucb_lockstep(structure, config, 0, 8, rewards=rewards)
+    assert sets[:6] == [(0, 1), (0,), (0,), (0,), (0,), (0, 1)]
+    assert pulled[:6] == [0, 1, 1, 1, 1, 0]
 
 
 def test_ucb1_sweep_and_tie():

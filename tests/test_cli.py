@@ -77,6 +77,25 @@ def test_run_config_validation(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "random" in capsys.readouterr().err
 
+    # integer fields take JSON integers only, level any JSON number and
+    # fresh_structure_per_run a JSON bool
+    base = {"horizon": 50, "runs": 2, "structure": {"builder": "figure_right"},
+            "agents": [{"algorithm": "sucb"}]}
+    for field, value in (("runs", "abc"), ("runs", 2.9), ("runs", True),
+                         ("horizon", 50.5), ("base_seed", "3"), ("base_seed", False),
+                         ("checkpoints", [25, 50.0]), ("checkpoints", "50"),
+                         ("level", "0.9"), ("level", True),
+                         ("fresh_structure_per_run", "no")):
+        path.write_text(json.dumps({**base, field: value}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
+        assert f"'{field}" in capsys.readouterr().err, (field, value)
+    path.write_text(json.dumps([base]))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    path.write_text(json.dumps({**base, "level": 1, "checkpoints": [25, 50]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "level" in capsys.readouterr().err  # 1 is numeric but no valid level
+
 
 def test_run_writes_outputs(run_config, tmp_path, capsys):
     out = tmp_path / "results"
@@ -226,3 +245,13 @@ def test_paper_suite_pull_checks():
     assert cli._pulls_check(batch, "sucb", "asae", 3) == (
         "pulls of arm 3: sucb < asae with separated CIs", True)
     assert not cli._pulls_check(batch, "asae", "sucb", 3)[1]
+
+
+def test_paper_suite_exit_code(capsys):
+    checks = [("fig3a", "asae < sucb", True), ("fig3c", "sae < sucb", False)]
+    assert cli._report_checks(checks, "suite") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["PASS fig3a: asae < sucb", "FAIL fig3c: sae < sucb",
+                     "1/2 checks passed; outputs in suite"]
+    assert cli._report_checks(checks[:1], "suite") == 0
+    assert capsys.readouterr().out.endswith("1/1 checks passed; outputs in suite\n")
