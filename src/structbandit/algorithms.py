@@ -2,9 +2,10 @@
 
 Four agents behind one select/observe interface:
 
-* ``SaeAgent`` -- phased round-robin elimination against a fixed horizon.
-* ``AsaeAgent`` -- anytime wrapper that reruns the elimination schedule over
-  squashed-doubling periods, carrying the confidence set across periods.
+* ``SaeAgent`` -- phased round-robin elimination: one never-ending
+  elimination period of horizon n.
+* ``AsaeAgent`` -- the same period rerun on the eta schedule of horizons,
+  carrying the confidence set and the pull counts across periods.
 * ``SucbAgent`` -- optimism baseline (UCB-S) that keeps the model confidence
   set as one contiguous run of models per arm, refitting only the arm pulled
   last, and pulls the most optimistic arm.
@@ -66,8 +67,10 @@ class AgentConfig:
 class AgentState:
     """Read-only diagnostic snapshot of an agent.
 
-    period, period_horizon and phase_start_counts only carry information for
-    ASAE; the other agents report period 0 / horizon None / zero counts.
+    period, period_horizon and phase_start_counts carry information for the
+    eliminators: SAE reports period 0 with its horizon n and zero counts,
+    ASAE its current period.  SUCB and UCB1 report period 0 / horizon None /
+    zero counts.
     """
 
     pull_counts: tuple[int, ...]
@@ -138,7 +141,21 @@ class _Agent:
         pass
 
     def snapshot(self) -> AgentState:
-        raise NotImplementedError
+        """State of an agent without phases or periods: every arm active."""
+        return AgentState(
+            pull_counts=tuple(self._pulls),
+            reward_sums=tuple(self._rewards),
+            active_models=self._active_model_ids(),
+            active_arms=tuple(range(self.arm_count)),
+            phase=0,
+            removal_threshold=1.0,
+            period=0,
+            period_horizon=None,
+            phase_start_counts=(0,) * self.arm_count,
+        )
+
+    def _active_model_ids(self) -> tuple[int, ...]:
+        return ()
 
 
 def _empirical_best(pulls: list[int], rewards: list[float]) -> int:
@@ -156,14 +173,27 @@ def _empirical_best(pulls: list[int], rewards: list[float]) -> int:
 
 
 class _EliminationAgent(_Agent):
-    """Phase machinery shared by the fixed-horizon and anytime eliminators."""
+    """Phased round-robin elimination over periods of fixed horizon n_k.
 
-    def __init__(self, structure: Structure, config: AgentConfig) -> None:
+    Each period restarts the removal threshold at 1.  A phase pulls the
+    active arms round-robin until each total count reaches
+    ceil(alpha*log(n_k)*(1+1/beta)^2 / threshold^2), then refilters the
+    period's starting model set with radii sqrt(alpha*log(n_k)/T_i), keeps
+    the arms optimal for some surviving model and halves the threshold.  A
+    single active arm is played on; an empty model set falls back to the
+    empirical-best arm.  Counts never reset, so a phase already paid for
+    passes at once.  The next period starts from the carried model set,
+    with its active arms recomputed (arms re-enter only there).
+    """
+
+    def __init__(self, structure: Structure, config: AgentConfig, horizon: int) -> None:
         super().__init__(structure.arm_count, config, structure.reward)
         self.structure = structure
         self._margin = (1.0 + 1.0 / config.beta) ** 2
         self._all_models = tuple(range(structure.model_count))
         self._history: list[PhaseRecord] = []
+        self._period = 0
+        self._start_period(horizon, self._all_models)
 
     @property
     def history(self) -> tuple[PhaseRecord, ...]:
@@ -174,151 +204,29 @@ class _EliminationAgent(_Agent):
     def fallback_arm(self) -> int | None:
         return self._fallback
 
-    def _open_phase(self, period: int, phase: int) -> None:
+    def _start_period(self, horizon: int, models) -> None:
+        self._period_horizon = horizon
+        self._log_nk = math.log(horizon)
+        self._base_models = tuple(models)
+        self._active_models = list(models)
+        self._active_arms = sorted(optimal_arm_set(self.structure, models))
+        self._period_start = list(self._pulls)
+        self._phase = 0
+        self._threshold = 1.0
+        self._target = self._phase_target()
+        self._rr_pos = 0
+        self._fallback: int | None = None
+        self._open_phase()
+
+    def _open_phase(self) -> None:
         self._history.append(PhaseRecord(
-            period=period,
-            phase=phase,
+            period=self._period,
+            phase=self._phase,
             active_arms=tuple(self._active_arms),
             active_models=tuple(self._active_models),
             pull_counts=tuple(self._pulls),
             reward_sums=tuple(self._rewards),
         ))
-
-    def _filter_models(self, base: tuple[int, ...], log_n: float) -> list[int]:
-        """Models consistent with every pulled arm's empirical mean.
-
-        Strict inequality; arms with zero pulls impose no constraint.
-        """
-        alpha = self.config.alpha
-        constraints = []
-        for i in range(self.arm_count):
-            if self._pulls[i] > 0:
-                mean = self._rewards[i] / self._pulls[i]
-                radius = math.sqrt(alpha * log_n / self._pulls[i])
-                constraints.append((i, mean, radius))
-        kept = []
-        for k in base:
-            means = self.structure.models[k].means
-            if all(abs(mean - means[i]) < radius for i, mean, radius in constraints):
-                kept.append(k)
-        return kept
-
-    def _next_active_arms(self, models: list[int]) -> list[int]:
-        if not models:
-            return []
-        keep = optimal_arm_set(self.structure, models)
-        return [a for a in self._active_arms if a in keep]
-
-    def _rr_next(self, target: int, counts) -> int:
-        """Next active arm, cyclically from the phase pointer, below target."""
-        arms = self._active_arms
-        m = len(arms)
-        for off in range(m):
-            arm = arms[(self._rr_pos + off) % m]
-            if counts[arm] < target:
-                self._rr_pos = (self._rr_pos + off + 1) % m
-                return arm
-        raise RuntimeError("all active arms met the phase target; boundary was not processed")
-
-
-class SaeAgent(_EliminationAgent):
-    """Successive-arm-elimination agent for a known horizon.
-
-    Pulls every active arm round-robin until its total count reaches
-    ceil(alpha*log(n)*(1+1/beta)^2 / threshold^2), then rebuilds the model
-    confidence set from the full model set, keeps only arms optimal for some
-    surviving model, and halves the removal threshold.  A singleton active
-    set is played forever; an empty one falls back to the empirical-best arm
-    for the rest of the run.
-    """
-
-    def __init__(self, structure: Structure, config: AgentConfig) -> None:
-        super().__init__(structure, config)
-        if config.horizon is None or config.horizon < 2:
-            raise ValueError("sae requires horizon >= 2")
-        self._log_n = math.log(config.horizon)
-        self._active_models = list(self._all_models)
-        self._active_arms = sorted(optimal_arm_set(structure))
-        self._phase = 0
-        self._threshold = 1.0
-        self._target = self._phase_target()
-        self._rr_pos = 0
-        self._fallback: int | None = None
-        self._open_phase(0, 0)
-
-    def _phase_target(self) -> int:
-        return math.ceil(self.config.alpha * self._log_n * self._margin
-                         / (self._threshold * self._threshold))
-
-    def _choose(self) -> int:
-        if self._fallback is not None:
-            return self._fallback
-        if len(self._active_arms) == 1:
-            return self._active_arms[0]
-        return self._rr_next(self._target, self._pulls)
-
-    def _after_observe(self, arm: int) -> None:
-        while (self._fallback is None and len(self._active_arms) > 1
-               and all(self._pulls[a] >= self._target for a in self._active_arms)):
-            self._advance_phase()
-
-    def _advance_phase(self) -> None:
-        kept = self._filter_models(self._all_models, self._log_n)
-        arms = self._next_active_arms(kept)
-        self._active_models = kept
-        self._active_arms = arms
-        self._phase += 1
-        self._threshold *= 0.5
-        self._target = self._phase_target()
-        self._rr_pos = 0
-        if not arms:
-            self._fallback = _empirical_best(self._pulls, self._rewards)
-        self._open_phase(0, self._phase)
-
-    def snapshot(self) -> AgentState:
-        return AgentState(
-            pull_counts=tuple(self._pulls),
-            reward_sums=tuple(self._rewards),
-            active_models=tuple(self._active_models),
-            active_arms=tuple(self._active_arms),
-            phase=self._phase,
-            removal_threshold=self._threshold,
-            period=0,
-            period_horizon=None,
-            phase_start_counts=(0,) * self.arm_count,
-        )
-
-
-class AsaeAgent(_EliminationAgent):
-    """Anytime eliminator: elimination periods with carried confidence sets.
-
-    Period k spans absolute steps (n_{k-1}, n_k] with n_0 = 2 and
-    n_{k+1} = ceil(n_k^(1+eta)).  Each period reruns the elimination
-    schedule with horizon n_k: the removal threshold restarts at 1 but pull
-    counts never reset, so a phase whose target
-    ceil(alpha*log(n_k)*(1+1/beta)^2/threshold^2) is already met by the
-    carried totals passes instantly and only refilters the model set.  The
-    filter starts from the set carried out of the previous period, with
-    radii sqrt(alpha*log(n_k)/T_i) over total pull counts.  Active arms are
-    recomputed from the carried set at each period start, so arms can
-    re-enter there (never inside a period).
-    """
-
-    def __init__(self, structure: Structure, config: AgentConfig) -> None:
-        super().__init__(structure, config)
-        self._period = 0
-        self._period_horizon = 2
-        self._log_nk = math.log(2.0)
-        self._base_models = list(self._all_models)
-        self._active_models = list(self._all_models)
-        self._active_arms = sorted(optimal_arm_set(structure))
-        self._period_start = [0] * self.arm_count
-        self._phase = 0
-        self._threshold = 1.0
-        self._target = self._phase_target()
-        self._rr_pos = 0
-        self._fallback: int | None = None
-        self._open_phase(0, 0)
 
     def _phase_target(self) -> int:
         return math.ceil(self.config.alpha * self._log_nk * self._margin
@@ -327,10 +235,10 @@ class AsaeAgent(_EliminationAgent):
     def _choose(self) -> int:
         if self._fallback is not None:
             return self._fallback
-        if len(self._active_arms) == 1:
-            return self._active_arms[0]
         arms = self._active_arms
         m = len(arms)
+        if m == 1:
+            return arms[0]
         for off in range(m):
             arm = arms[(self._rr_pos + off) % m]
             if self._pulls[arm] < self._target:
@@ -352,8 +260,9 @@ class AsaeAgent(_EliminationAgent):
             self._advance_phase()
 
     def _advance_phase(self) -> None:
-        kept = self._filter_models(tuple(self._base_models), self._log_nk)
-        arms = self._next_active_arms(kept)
+        kept = self._filter_models()
+        keep = optimal_arm_set(self.structure, kept) if kept else ()
+        arms = [a for a in self._active_arms if a in keep]
         self._active_models = kept
         self._active_arms = arms
         self._phase += 1
@@ -362,25 +271,34 @@ class AsaeAgent(_EliminationAgent):
         self._rr_pos = 0
         if not arms:
             self._fallback = _empirical_best(self._pulls, self._rewards)
-        self._open_phase(self._period, self._phase)
+        self._open_phase()
 
     def _advance_period(self) -> None:
         self._period += 1
         nxt = math.ceil(self._period_horizon ** (1.0 + self.config.eta))
         # guard against a float-precision stall for tiny eta
-        self._period_horizon = max(int(nxt), self._period_horizon + 1)
-        self._log_nk = math.log(self._period_horizon)
-        carried = self._active_models if self._active_models else list(self._all_models)
-        self._base_models = list(carried)
-        self._active_models = list(carried)
-        self._active_arms = sorted(optimal_arm_set(self.structure, carried))
-        self._period_start = list(self._pulls)
-        self._phase = 0
-        self._threshold = 1.0
-        self._target = self._phase_target()
-        self._rr_pos = 0
-        self._fallback = None
-        self._open_phase(self._period, 0)
+        horizon = max(int(nxt), self._period_horizon + 1)
+        self._start_period(horizon, self._active_models or self._all_models)
+
+    def _filter_models(self) -> list[int]:
+        """Models of the period's base set consistent with every pulled
+        arm's empirical mean.
+
+        Strict inequality; arms with zero pulls impose no constraint.
+        """
+        alpha = self.config.alpha
+        constraints = []
+        for i in range(self.arm_count):
+            if self._pulls[i] > 0:
+                mean = self._rewards[i] / self._pulls[i]
+                radius = math.sqrt(alpha * self._log_nk / self._pulls[i])
+                constraints.append((i, mean, radius))
+        kept = []
+        for k in self._base_models:
+            means = self.structure.models[k].means
+            if all(abs(mean - means[i]) < radius for i, mean, radius in constraints):
+                kept.append(k)
+        return kept
 
     def snapshot(self) -> AgentState:
         return AgentState(
@@ -394,6 +312,31 @@ class AsaeAgent(_EliminationAgent):
             period_horizon=self._period_horizon,
             phase_start_counts=tuple(self._period_start),
         )
+
+
+class SaeAgent(_EliminationAgent):
+    """Successive-arm-elimination agent for a known horizon n: a single
+    period of horizon n that never closes, so the model set is always
+    refiltered from the full set."""
+
+    def __init__(self, structure: Structure, config: AgentConfig) -> None:
+        if config.horizon is None or config.horizon < 2:
+            raise ValueError("sae requires horizon >= 2")
+        super().__init__(structure, config, config.horizon)
+
+    def _after_observe(self, arm: int) -> None:
+        self._catch_up()
+
+
+class AsaeAgent(_EliminationAgent):
+    """Anytime eliminator: the elimination period rerun on the eta schedule.
+
+    Period k spans absolute steps (n_{k-1}, n_k] with n_0 = 2 and
+    n_{k+1} = ceil(n_k^(1+eta)).
+    """
+
+    def __init__(self, structure: Structure, config: AgentConfig) -> None:
+        super().__init__(structure, config, 2)
 
 
 class SucbAgent(_Agent):
@@ -531,18 +474,8 @@ class SucbAgent(_Agent):
         # same run
         self._wake[arm] = math.nextafter(nearest * count, 0.0)
 
-    def snapshot(self) -> AgentState:
-        return AgentState(
-            pull_counts=tuple(self._pulls),
-            reward_sums=tuple(self._rewards),
-            active_models=tuple(int(k) for k in np.flatnonzero(self._model_mask)),
-            active_arms=tuple(range(self.arm_count)),
-            phase=0,
-            removal_threshold=1.0,
-            period=0,
-            period_horizon=None,
-            phase_start_counts=(0,) * self.arm_count,
-        )
+    def _active_model_ids(self) -> tuple[int, ...]:
+        return tuple(int(k) for k in np.flatnonzero(self._model_mask))
 
 
 class Ucb1Agent(_Agent):
@@ -565,35 +498,6 @@ class Ucb1Agent(_Agent):
     def _after_observe(self, arm: int) -> None:
         self._pull_arr[arm] += 1.0
         self._sum_arr[arm] = self._rewards[arm]
-
-    def snapshot(self) -> AgentState:
-        return AgentState(
-            pull_counts=tuple(self._pulls),
-            reward_sums=tuple(self._rewards),
-            active_models=(),
-            active_arms=tuple(range(self.arm_count)),
-            phase=0,
-            removal_threshold=1.0,
-            period=0,
-            period_horizon=None,
-            phase_start_counts=(0,) * self.arm_count,
-        )
-
-
-def sae_agent(structure: Structure, config: AgentConfig) -> SaeAgent:
-    return SaeAgent(structure, config)
-
-
-def asae_agent(structure: Structure, config: AgentConfig) -> AsaeAgent:
-    return AsaeAgent(structure, config)
-
-
-def sucb_agent(structure: Structure, config: AgentConfig) -> SucbAgent:
-    return SucbAgent(structure, config)
-
-
-def ucb1_agent(arm_count: int, config: AgentConfig) -> Ucb1Agent:
-    return Ucb1Agent(arm_count, config)
 
 
 def make_agent(structure: Structure, config: AgentConfig) -> _Agent:

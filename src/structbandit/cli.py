@@ -82,6 +82,20 @@ def _load_structure(path: str) -> Structure:
         raise UsageError(str(exc))
 
 
+# builder name -> (structure from the entry's options, gen flags -> those options)
+_BUILDERS = {
+    "figure_left": (build_figure_left,
+                    lambda args: {"informative_arm2": not args.no_informative_arm2}),
+    "figure_right": (build_figure_right,
+                     lambda args: {"arm1_fourth_model": args.arm1_fourth}),
+    "random": (lambda **options: generate_random(GeneratorSpec(**options)),
+               lambda args: {"arm_count": args.arms, "base_model_count": args.base_models,
+                             "hard_model_count": args.hard_models,
+                             "optimistic_scale": args.optimistic_scale,
+                             "shrink_factor": args.shrink_factor, "seed": args.seed or 0}),
+}
+
+
 def _structure_from_entry(entry) -> tuple[Structure, str]:
     """Resolve a config 'structure' entry (path string or builder dict)."""
     if isinstance(entry, str):
@@ -91,29 +105,13 @@ def _structure_from_entry(entry) -> tuple[Structure, str]:
     if "path" in entry:
         return _load_structure(entry["path"]), entry["path"]
     builder = entry.get("builder")
+    if not isinstance(builder, str) or builder not in _BUILDERS:
+        raise UsageError(f"unknown structure builder {builder!r}")
     options = {k: v for k, v in entry.items() if k != "builder"}
     try:
-        if builder == "figure_left":
-            return build_figure_left(**options), "figure_left"
-        if builder == "figure_right":
-            return build_figure_right(**options), "figure_right"
-        if builder == "random":
-            return generate_random(GeneratorSpec(**options)), "random"
+        return _BUILDERS[builder][0](**options), builder
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad structure options for builder {builder!r}: {exc}")
-    raise UsageError(f"unknown structure builder {builder!r}")
-
-
-def _agent_configs(entries) -> tuple[AgentConfig, ...]:
-    if not isinstance(entries, list) or not entries:
-        raise UsageError("config needs a non-empty 'agents' list")
-    configs = []
-    for entry in entries:
-        try:
-            configs.append(AgentConfig(**entry))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad agent entry {entry!r}: {exc}")
-    return tuple(configs)
 
 
 def _strict_int(value, field: str) -> int:
@@ -121,6 +119,35 @@ def _strict_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"config field '{field}' must be an integer, got {value!r}")
     return value
+
+
+def _strict_number(value, field: str) -> int | float:
+    """A JSON number (not a bool), else a UsageError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"config field '{field}' must be a number, got {value!r}")
+    return value
+
+
+# type checks on agent entry fields; null goes on to AgentConfig, which
+# takes it as an unset horizon or sigma2 and rejects it elsewhere
+_AGENT_FIELDS = {"horizon": _strict_int, "alpha": _strict_number, "beta": _strict_number,
+                 "eta": _strict_number, "sigma2": _strict_number}
+
+
+def _agent_configs(entries) -> tuple[AgentConfig, ...]:
+    if not isinstance(entries, list) or not entries:
+        raise UsageError("config needs a non-empty 'agents' list")
+    configs = []
+    for index, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            for name, check in _AGENT_FIELDS.items():
+                if entry.get(name) is not None:
+                    check(entry[name], f"agents[{index}].{name}")
+        try:
+            configs.append(AgentConfig(**entry))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad agent entry {entry!r}: {exc}")
+    return tuple(configs)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -136,10 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     base_seed = args.seed
     if base_seed is None:
         base_seed = _strict_int(data.get("base_seed", 0), "base_seed")
-    level = data.get("level", 0.95)
-    if isinstance(level, bool) or not isinstance(level, (int, float)):
-        raise UsageError(f"config field 'level' must be a number, got {level!r}")
-    level = float(level)
+    level = float(_strict_number(data.get("level", 0.95), "level"))
     checkpoints = data.get("checkpoints")
     if checkpoints is not None:
         if not isinstance(checkpoints, list):
@@ -268,20 +292,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.builder == "figure_left":
-            structure = build_figure_left(informative_arm2=not args.no_informative_arm2)
-        elif args.builder == "figure_right":
-            structure = build_figure_right(arm1_fourth_model=args.arm1_fourth)
-        else:
-            spec = GeneratorSpec(
-                arm_count=args.arms, base_model_count=args.base_models,
-                hard_model_count=args.hard_models,
-                optimistic_scale=args.optimistic_scale,
-                shrink_factor=args.shrink_factor, seed=args.seed or 0)
-            structure = generate_random(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    structure, _ = _structure_from_entry(
+        {"builder": args.builder, **_BUILDERS[args.builder][1](args)})
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_structure(structure, args.out)
     print(f"wrote {args.out} ({structure.model_count} models, "
@@ -431,8 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=cmd_classify)
 
     p_gen = sub.add_parser("gen", help="write a structure file")
-    p_gen.add_argument("--builder", choices=("random", "figure_left", "figure_right"),
-                       default="random")
+    p_gen.add_argument("--builder", choices=tuple(_BUILDERS), default="random")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--arms", type=int, default=50)

@@ -234,13 +234,10 @@ def _aggregate(algorithm: str, runs: tuple[RunResult, ...],
     )
 
 
-def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchResult:
-    """Run every (algorithm, run) pair and aggregate per algorithm.
-
-    Results depend only on the config: seeds derive from (base_seed,
-    algorithm, run index), tasks are collected in submission order, and the
-    per-algorithm fold follows run index.
-    """
+def _run_and_aggregate(config: ExperimentConfig, structures: list[Structure],
+                       workers: int) -> BatchResult:
+    """Run every (algorithm, run) pair, run r on structures[r], and fold each
+    algorithm's runs in run-index order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     checkpoints = config.resolved_checkpoints()
@@ -250,7 +247,7 @@ def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchResult:
             agent_config = replace(agent_config, horizon=config.horizon)
         for run in range(config.runs):
             seed = stream_seed(config.base_seed, agent_config.algorithm, run)
-            tasks.append((config.structure, agent_config, config.horizon, checkpoints, seed))
+            tasks.append((structures[run], agent_config, config.horizon, checkpoints, seed))
     if workers == 1:
         results = [_run_task(*task) for task in tasks]
     else:
@@ -267,6 +264,16 @@ def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchResult:
     return BatchResult(config=config, aggregates=aggregates, runs=runs)
 
 
+def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchResult:
+    """Run every (algorithm, run) pair and aggregate per algorithm.
+
+    Results depend only on the config: seeds derive from (base_seed,
+    algorithm, run index), tasks are collected in submission order, and the
+    per-algorithm fold follows run index.
+    """
+    return _run_and_aggregate(config, [config.structure] * config.runs, workers)
+
+
 def run_randomized_batch(spec: GeneratorSpec, agents: tuple[AgentConfig, ...],
                          horizon: int, runs: int = 100, base_seed: int = 0,
                          checkpoints: tuple[int, ...] | None = None,
@@ -278,36 +285,13 @@ def run_randomized_batch(spec: GeneratorSpec, agents: tuple[AgentConfig, ...],
     each run's own true model.  The returned config embeds run 0's structure
     as a representative; the generator parameters travel in its provenance.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     structures = [generate_random(replace(spec, seed=stream_seed(base_seed, "structure", run)))
                   for run in range(runs)]
     config = ExperimentConfig(
         structure=structures[0], agents=tuple(agents), horizon=horizon,
         runs=runs, base_seed=base_seed, checkpoints=checkpoints, level=level,
         source="randomized-per-run")
-    resolved = config.resolved_checkpoints()
-    tasks = []
-    for agent_config in config.agents:
-        if agent_config.horizon is None:
-            agent_config = replace(agent_config, horizon=horizon)
-        for run in range(runs):
-            seed = stream_seed(base_seed, agent_config.algorithm, run)
-            tasks.append((structures[run], agent_config, horizon, resolved, seed))
-    if workers == 1:
-        results = [_run_task(*task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, *zip(*tasks), chunksize=chunk))
-    run_map: dict[str, tuple[RunResult, ...]] = {}
-    aggregates: dict[str, AggregateResult] = {}
-    for index, agent_config in enumerate(config.agents):
-        tag = agent_config.algorithm
-        block = tuple(results[index * runs:(index + 1) * runs])
-        run_map[tag] = block
-        aggregates[tag] = _aggregate(tag, block, resolved, level)
-    return BatchResult(config=config, aggregates=aggregates, runs=run_map)
+    return _run_and_aggregate(config, structures, workers)
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
@@ -330,7 +314,7 @@ def write_pulls_csv(path: str, aggregate: AggregateResult) -> None:
 
 
 def _agent_entry(agent_config: AgentConfig, config: ExperimentConfig) -> dict:
-    entry = {
+    return {
         "algorithm": agent_config.algorithm,
         "alpha": agent_config.alpha,
         "beta": agent_config.beta,
@@ -340,7 +324,6 @@ def _agent_entry(agent_config: AgentConfig, config: ExperimentConfig) -> dict:
         "seeds": [str(stream_seed(config.base_seed, agent_config.algorithm, r))
                   for r in range(config.runs)],
     }
-    return entry
 
 
 def write_batch(out_dir: str, batch: BatchResult) -> dict[str, str]:

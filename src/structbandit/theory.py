@@ -222,6 +222,49 @@ def _sum_terms(terms: list[BoundTerm], constant: float) -> float:
     return total
 
 
+def _report(name: str, terms: list[BoundTerm], constant: float, params: dict,
+            flags: dict) -> BoundReport:
+    return BoundReport(name=name, value=_sum_terms(terms, constant), terms=tuple(terms),
+                       constant=constant, params=params, flags=flags)
+
+
+_UNBOUNDED = "zero separation on the informative arms; term unbounded"
+
+
+def _separation_terms(structure: Structure, coeff: float, log_factor: float,
+                      informative, flags: dict, zero_note: str = _UNBOUNDED) -> list[BoundTerm]:
+    """One term coeff * gap * log_factor / separation per potentially-optimal
+    sub-optimal arm.
+
+    ``informative(i)`` gives the model subset and the arm set whose ``psi``
+    is arm ``i``'s separation.  An empty model subset means the agent never
+    pulls the arm (term 0); a zero separation makes the term infinite and
+    sets ``flags["unbounded_term"]``.
+    """
+    i_star = structure.optimal_arm
+    gaps = true_gaps(structure)
+    terms = []
+    for i in sorted(optimal_arm_set(structure)):
+        if i == i_star:
+            continue
+        models, arms = informative(i)
+        if not models:
+            terms.append(BoundTerm(arm=i, gap=gaps[i], separation=math.inf, value=0.0,
+                                   note="never pulled under optimism"))
+            continue
+        separation, _ = psi(structure, models, arms)
+        if separation == 0.0:
+            value = math.inf
+            note = zero_note
+            flags["unbounded_term"] = True
+        else:
+            value = coeff * gaps[i] * log_factor / separation
+            note = ""
+        terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation,
+                               value=value, note=note))
+    return terms
+
+
 def sae_bound(structure: Structure, sequences: TheorySequences, n: int) -> BoundReport:
     """Phased-elimination regret guarantee at horizon ``n``.
 
@@ -236,42 +279,20 @@ def sae_bound(structure: Structure, sequences: TheorySequences, n: int) -> Bound
         raise ValueError(f"sequences were computed for n = {sequences.n}, not {n}")
     beta = sequences.beta
     c_beta = 4.0 * (1.0 + beta * beta)
-    i_star = structure.optimal_arm
-    a_star = sorted(optimal_arm_set(structure))
-    gaps = true_gaps(structure)
-    log_n = math.log(n)
 
     flags: dict = {}
     if sequences.alpha_beta_mismatch:
         flags["alpha_beta_mismatch"] = True
     if sequences.unresolved:
         flags["unresolved_arms"] = sorted(sequences.unresolved)
+    terms = _separation_terms(
+        structure, c_beta, math.log(n),
+        lambda i: (models_with_optimal_arm(structure, i), sequences.informative_arms[i]),
+        flags)
 
-    terms = []
-    for i in a_star:
-        if i == i_star:
-            continue
-        separation, _ = psi(structure, models_with_optimal_arm(structure, i),
-                            sequences.informative_arms[i])
-        if separation == 0.0:
-            value = math.inf
-            note = "zero separation on the informative arms; term unbounded"
-            flags["unbounded_term"] = True
-        else:
-            value = c_beta * gaps[i] * log_n / separation
-            note = ""
-        terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation,
-                               value=value, note=note))
-
-    constant = 2.0 * len(a_star)
-    return BoundReport(
-        name="phased_elimination",
-        value=_sum_terms(terms, constant),
-        terms=tuple(terms),
-        constant=constant,
-        params={"alpha": sequences.alpha, "beta": beta, "n": n, "c_beta": c_beta},
-        flags=flags,
-    )
+    constant = 2.0 * len(optimal_arm_set(structure))
+    return _report("phased_elimination", terms, constant,
+                   {"alpha": sequences.alpha, "beta": beta, "n": n, "c_beta": c_beta}, flags)
 
 
 def asae_bound(structure: Structure, n: int) -> BoundReport:
@@ -283,36 +304,13 @@ def asae_bound(structure: Structure, n: int) -> BoundReport:
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    i_star = structure.optimal_arm
-    a_star = sorted(optimal_arm_set(structure))
-    gaps = true_gaps(structure)
-    log_n = math.log(n)
-
     flags: dict = {}
-    terms = []
-    for i in a_star:
-        if i == i_star:
-            continue
-        separation, _ = psi(structure, models_with_optimal_arm(structure, i), (i, i_star))
-        if separation == 0.0:
-            value = math.inf
-            note = "zero separation on the informative arms; term unbounded"
-            flags["unbounded_term"] = True
-        else:
-            value = 192.0 * gaps[i] * log_n / separation
-            note = ""
-        terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation,
-                               value=value, note=note))
+    terms = _separation_terms(
+        structure, 192.0, math.log(n),
+        lambda i: (models_with_optimal_arm(structure, i), (i, structure.optimal_arm)), flags)
 
-    constant = 6.0 * len(a_star)
-    return BoundReport(
-        name="anytime_phased_elimination",
-        value=_sum_terms(terms, constant),
-        terms=tuple(terms),
-        constant=constant,
-        params={"n": n},
-        flags=flags,
-    )
+    constant = 6.0 * len(optimal_arm_set(structure))
+    return _report("anytime_phased_elimination", terms, constant, {"n": n}, flags)
 
 
 def asae_constant_bound(structure: Structure) -> BoundReport:
@@ -325,9 +323,7 @@ def asae_constant_bound(structure: Structure) -> BoundReport:
             "constant-regret guarantee needs a positive separation on the optimal arm "
             "(some model disagrees about the optimal arm yet matches its mean exactly)"
         )
-    i_star = structure.optimal_arm
-    a_star = sorted(optimal_arm_set(structure))
-    gaps = true_gaps(structure)
+    a_star = optimal_arm_set(structure)
 
     if math.isinf(g_star):
         t_bar = 2.0 * len(a_star)
@@ -335,31 +331,14 @@ def asae_constant_bound(structure: Structure) -> BoundReport:
         t_bar = 20.0 * len(a_star) * math.log(2.0) / (g_star * g_star) + 2.0 * len(a_star)
 
     flags: dict = {}
-    terms = []
     log_t_bar = math.log(t_bar) if t_bar > 0 else 0.0
-    for i in a_star:
-        if i == i_star:
-            continue
-        separation, _ = psi(structure, models_with_optimal_arm(structure, i), (i, i_star))
-        if separation == 0.0:
-            value = math.inf
-            note = "zero separation on the informative arms; term unbounded"
-            flags["unbounded_term"] = True
-        else:
-            value = 480.0 * gaps[i] * log_t_bar / separation
-            note = ""
-        terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation,
-                               value=value, note=note))
+    terms = _separation_terms(
+        structure, 480.0, log_t_bar,
+        lambda i: (models_with_optimal_arm(structure, i), (i, structure.optimal_arm)), flags)
 
     constant = 9.0 * len(a_star)
-    return BoundReport(
-        name="anytime_constant_regret",
-        value=_sum_terms(terms, constant),
-        terms=tuple(terms),
-        constant=constant,
-        params={"gamma_star": g_star, "t_bar": t_bar},
-        flags=flags,
-    )
+    return _report("anytime_constant_regret", terms, constant,
+                   {"gamma_star": g_star, "t_bar": t_bar}, flags)
 
 
 def sucb_bound(structure: Structure, n: int, c: float = 8.0, c_prime: float = 0.0) -> BoundReport:
@@ -375,40 +354,13 @@ def sucb_bound(structure: Structure, n: int, c: float = 8.0, c_prime: float = 0.
         raise ValueError(f"n must be at least 1, got {n}")
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    i_star = structure.optimal_arm
-    a_star = sorted(optimal_arm_set(structure))
-    gaps = true_gaps(structure)
-    log_n = math.log(n)
-
     flags: dict = {}
-    terms = []
-    for i in a_star:
-        if i == i_star:
-            continue
-        optimistic = optimistic_models(structure, i)
-        if not optimistic:
-            terms.append(BoundTerm(arm=i, gap=gaps[i], separation=math.inf, value=0.0,
-                                   note="never pulled under optimism"))
-            continue
-        separation, _ = psi(structure, optimistic, (i,))
-        if separation == 0.0:
-            value = math.inf
-            note = "optimistic model indistinguishable on the arm itself"
-            flags["unbounded_term"] = True
-        else:
-            value = c * gaps[i] * log_n / separation
-            note = ""
-        terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation,
-                               value=value, note=note))
+    terms = _separation_terms(
+        structure, c, math.log(n), lambda i: (optimistic_models(structure, i), (i,)), flags,
+        zero_note="optimistic model indistinguishable on the arm itself")
 
-    return BoundReport(
-        name="optimistic_confidence_set",
-        value=_sum_terms(terms, c_prime),
-        terms=tuple(terms),
-        constant=c_prime,
-        params={"n": n, "c": c, "c_prime": c_prime},
-        flags=flags,
-    )
+    return _report("optimistic_confidence_set", terms, c_prime,
+                   {"n": n, "c": c, "c_prime": c_prime}, flags)
 
 
 def ucb_reference_bound(structure: Structure, n: int, c: float = 8.0,

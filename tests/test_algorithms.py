@@ -54,11 +54,11 @@ def test_make_agent_dispatch(fig_right):
     assert isinstance(
         sb.make_agent(fig_right, sb.AgentConfig("ucb1")), sb.Ucb1Agent)
     with pytest.raises(ValueError):
-        sb.sae_agent(fig_right, sb.AgentConfig("sae"))  # horizon required
+        sb.SaeAgent(fig_right, sb.AgentConfig("sae"))  # horizon required
 
 
 def test_alternation_contract(fig_right):
-    agent = sb.sucb_agent(fig_right, sb.AgentConfig("sucb"))
+    agent = sb.SucbAgent(fig_right, sb.AgentConfig("sucb"))
     arm = agent.select()
     with pytest.raises(RuntimeError):
         agent.select()
@@ -70,12 +70,12 @@ def test_alternation_contract(fig_right):
 
 
 def test_reward_support_checks(fig_right):
-    agent = sb.sae_agent(fig_right, sb.AgentConfig("sae", horizon=100))
+    agent = sb.SaeAgent(fig_right, sb.AgentConfig("sae", horizon=100))
     arm = agent.select()
     with pytest.raises(ValueError):
         agent.observe(arm, 0.5)  # bernoulli support is {0, 1}
     agent.observe(arm, 1.0)
-    blind = sb.ucb1_agent(2, sb.AgentConfig("ucb1"))
+    blind = sb.Ucb1Agent(2, sb.AgentConfig("ucb1"))
     arm = blind.select()
     with pytest.raises(ValueError):
         blind.observe(arm, math.inf)
@@ -83,7 +83,7 @@ def test_reward_support_checks(fig_right):
 
 def test_sae_phase_target_and_boundary(fig_left):
     # alpha = 2, beta = 1, n = 10^4: ceil(2 * ln(10^4) * 4) = 74 per arm
-    agent = sb.sae_agent(fig_left, FIG_LEFT_CONFIG)
+    agent = sb.SaeAgent(fig_left, FIG_LEFT_CONFIG)
     env = sb.Environment(fig_left, seed=5)
     assert agent.select() == 0  # round-robin starts at the lowest arm
     agent.observe(0, env.pull(0))
@@ -93,6 +93,7 @@ def test_sae_phase_target_and_boundary(fig_left):
     state = agent.snapshot()
     assert state.phase == 1
     assert state.removal_threshold == 0.5
+    assert (state.period, state.period_horizon) == (0, 10_000)  # one period of horizon n
     record = agent.history[-1]
     assert record.phase == 1
     assert record.pull_counts == (74, 74, 74)
@@ -103,7 +104,7 @@ def test_sae_frozen_fig_left_run(fig_left):
     # essentially every seed, pinning the regret to
     # 295 * 0.025 + 74 * 0.125 = 16.625
     for seed in (0, 1, 2):
-        agent = sb.sae_agent(fig_left, FIG_LEFT_CONFIG)
+        agent = sb.SaeAgent(fig_left, FIG_LEFT_CONFIG)
         env = sb.Environment(fig_left, seed=seed)
         result = sb.simulate(agent, env, 10_000)
         assert result.final_regret() == pytest.approx(16.625, abs=1e-9)
@@ -120,7 +121,7 @@ def test_sae_frozen_flat_variant_run():
     flat = sb.build_figure_left(informative_arm2=False)
     gaps = sb.true_gaps(flat)
     for seed in (0, 1, 2):
-        agent = sb.sae_agent(flat, FIG_LEFT_CONFIG)
+        agent = sb.SaeAgent(flat, FIG_LEFT_CONFIG)
         env = sb.Environment(flat, seed=seed)
         result = sb.simulate(agent, env, 10_000)
         assert result.pull_counts == (10_000 - 295 - 1179, 295, 1179)
@@ -131,7 +132,7 @@ def test_sae_frozen_flat_variant_run():
 
 
 def test_sae_round_robin_fairness(fig_right):
-    agent = sb.sae_agent(fig_right, sb.AgentConfig("sae", horizon=10_000))
+    agent = sb.SaeAgent(fig_right, sb.AgentConfig("sae", horizon=10_000))
     env = sb.Environment(fig_right, seed=9)
     counts = Counter()
     for _ in range(200):  # stays inside phase 0 (target 74 x 4 arms)
@@ -143,7 +144,7 @@ def test_sae_round_robin_fairness(fig_right):
 
 
 def test_sae_elimination_monotone_and_consistent(fig_left):
-    agent = sb.sae_agent(fig_left, FIG_LEFT_CONFIG)
+    agent = sb.SaeAgent(fig_left, FIG_LEFT_CONFIG)
     env = sb.Environment(fig_left, seed=3)
     run_steps(agent, env, 10_000)
     records = agent.history
@@ -158,7 +159,7 @@ def test_sae_elimination_monotone_and_consistent(fig_left):
 
 def test_sae_singleton_structure():
     structure = mk([[0.8, 0.2], [0.6, 0.3]], 0)
-    agent = sb.sae_agent(structure, sb.AgentConfig("sae", horizon=500))
+    agent = sb.SaeAgent(structure, sb.AgentConfig("sae", horizon=500))
     env = sb.Environment(structure, seed=0)
     result = sb.simulate(agent, env, 500)
     assert result.final_regret() == 0.0
@@ -166,7 +167,7 @@ def test_sae_singleton_structure():
 
 
 def test_asae_period_schedule(fig_right):
-    agent = sb.asae_agent(fig_right, sb.AgentConfig("asae", alpha=2.0))
+    agent = sb.AsaeAgent(fig_right, sb.AgentConfig("asae", alpha=2.0))
     env = sb.Environment(fig_right, seed=1)
     transitions = []
     horizon = 2
@@ -181,19 +182,19 @@ def test_asae_period_schedule(fig_right):
 
 
 def test_asae_fractional_and_degenerate_eta(fig_right):
-    agent = sb.asae_agent(fig_right, sb.AgentConfig("asae", eta=0.1))
+    agent = sb.AsaeAgent(fig_right, sb.AgentConfig("asae", eta=0.1))
     env = sb.Environment(fig_right, seed=1)
     assert agent.select() == 0  # round-robin opens at the lowest active arm
     agent.observe(0, env.pull(0))
     run_steps(agent, env, 1)
     assert agent.snapshot().period_horizon == 3  # ceil(2^1.1)
-    stalled = sb.asae_agent(fig_right, sb.AgentConfig("asae", eta=1e-16))
+    stalled = sb.AsaeAgent(fig_right, sb.AgentConfig("asae", eta=1e-16))
     run_steps(stalled, env, 2)
     assert stalled.snapshot().period_horizon == 3  # forced progress
 
 
 def test_asae_warm_start_containment(fig_left):
-    agent = sb.asae_agent(fig_left, sb.AgentConfig("asae", alpha=2.0))
+    agent = sb.AsaeAgent(fig_left, sb.AgentConfig("asae", alpha=2.0))
     env = sb.Environment(fig_left, seed=4)
     run_steps(agent, env, 3000)
     records = agent.history
@@ -212,7 +213,7 @@ def test_asae_warm_start_containment(fig_left):
 
 
 def test_asae_carried_pulls_meet_targets(fig_right):
-    agent = sb.asae_agent(fig_right, sb.AgentConfig("asae", alpha=2.0))
+    agent = sb.AsaeAgent(fig_right, sb.AgentConfig("asae", alpha=2.0))
     env = sb.Environment(fig_right, seed=2)
     run_steps(agent, env, 256)
     state = agent.snapshot()
@@ -223,7 +224,7 @@ def test_asae_carried_pulls_meet_targets(fig_right):
     # pull counts never reset across periods: with length-one periods a
     # phase target can only be met by carried totals, so reaching phase 1
     # at all proves the targets compare against totals
-    crawl = sb.asae_agent(fig_right, sb.AgentConfig("asae", alpha=2.0, eta=1e-16))
+    crawl = sb.AsaeAgent(fig_right, sb.AgentConfig("asae", alpha=2.0, eta=1e-16))
     env = sb.Environment(fig_right, seed=2)
     run_steps(crawl, env, 400)
     assert any(record.phase >= 1 for record in crawl.history)
@@ -235,7 +236,7 @@ def test_asae_carried_pulls_meet_targets(fig_right):
 
 
 def test_sucb_first_pick_and_full_set(fig_right):
-    agent = sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
+    agent = sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
     assert agent.select() == 1  # sup mean 0.92 beats every other column
     state = agent.snapshot()
     assert state.active_models == (0, 1, 2, 3)
@@ -248,7 +249,7 @@ def test_sucb_optimism_pulls_arm3(fig_right):
     # plays arm 3 with the true model still in the set. Seed: run 21 of
     # the long-horizon acceptance batch.
     assert sb.optimistic_models(fig_right, 3) == {2}
-    agent = sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
+    agent = sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
     env = sb.Environment(fig_right, seed=sb.stream_seed(7, "sucb", 21))
     run_steps(agent, env, 61)
     assert agent.snapshot().pull_counts == (0, 61, 0, 0)
@@ -258,15 +259,15 @@ def test_sucb_optimism_pulls_arm3(fig_right):
 
 def test_sucb_singleton_structure():
     structure = mk([[0.8, 0.2], [0.6, 0.3]], 0)
-    agent = sb.sucb_agent(structure, sb.AgentConfig("sucb"))
+    agent = sb.SucbAgent(structure, sb.AgentConfig("sucb"))
     env = sb.Environment(structure, seed=0)
     result = sb.simulate(agent, env, 200)
     assert result.final_regret() == 0.0
 
 
 def test_sucb_sigma2_widens_radius(fig_right):
-    base = sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
-    wide = sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0, sigma2=4.0))
+    base = sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
+    wide = sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0, sigma2=4.0))
     assert base._coeff == 2.0  # radius^2 scale = alpha
     assert wide._coeff == 16.0  # 2 * alpha * sigma2
 
@@ -277,7 +278,7 @@ def sucb_lockstep(structure, config, seed, steps, rewards=None):
     Rewards come from the environment, or from rewards(arm, step) when
     given.  Returns the active-model tuples after each select.
     """
-    agent = sb.sucb_agent(structure, config)
+    agent = sb.SucbAgent(structure, config)
     env = sb.Environment(structure, seed=seed)
     coeff = config.alpha if config.sigma2 is None else 2.0 * config.alpha * config.sigma2
     sets = []
@@ -339,7 +340,7 @@ def test_sucb_model_reenters_between_pulls():
 
 
 def test_ucb1_sweep_and_tie():
-    agent = sb.ucb1_agent(3, sb.AgentConfig("ucb1"))
+    agent = sb.Ucb1Agent(3, sb.AgentConfig("ucb1"))
     for expected in range(3):
         arm = agent.select()
         assert arm == expected
@@ -350,7 +351,7 @@ def test_ucb1_sweep_and_tie():
 def test_ucb1_bonus_magnitude():
     # alpha = 2, T = 74, t = 10^4: bonus ~ 0.499 decides against a 0.49
     # empirical mean and loses to 0.533
-    agent = sb.ucb1_agent(2, sb.AgentConfig("ucb1", alpha=2.0))
+    agent = sb.Ucb1Agent(2, sb.AgentConfig("ucb1", alpha=2.0))
     agent._step = 9_999
     agent._pulls = [74, 9_925]
     agent._pull_arr = np.array([74.0, 9_925.0])
@@ -390,10 +391,10 @@ def test_simulate_zero_and_fixed_regret(fig_right):
 
 
 def test_simulate_contracts(fig_right):
-    agent = sb.ucb1_agent(3, sb.AgentConfig("ucb1"))
+    agent = sb.Ucb1Agent(3, sb.AgentConfig("ucb1"))
     with pytest.raises(ValueError):
         sb.simulate(agent, sb.Environment(fig_right, seed=0), 10)
-    agent = sb.ucb1_agent(4, sb.AgentConfig("ucb1"))
+    agent = sb.Ucb1Agent(4, sb.AgentConfig("ucb1"))
     env = sb.Environment(fig_right, seed=0)
     with pytest.raises(ValueError):
         sb.simulate(agent, env, 0)
@@ -406,7 +407,7 @@ def test_simulate_contracts(fig_right):
 
 
 def test_simulate_audit_log(fig_right):
-    agent = sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
+    agent = sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0))
     env = sb.Environment(fig_right, seed=7)
     result = sb.simulate(agent, env, 300, checkpoints=(100, 100, 300), audit=True)
     assert result.actions is not None and len(result.actions) == 300
@@ -419,7 +420,7 @@ def test_simulate_audit_log(fig_right):
     assert result.checkpoints == (100, 100, 300)
     # identical seeds reproduce the run exactly
     again = sb.simulate(
-        sb.sucb_agent(fig_right, sb.AgentConfig("sucb", alpha=2.0)),
+        sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0)),
         sb.Environment(fig_right, seed=7), 300, checkpoints=(100, 100, 300))
     assert again == result  # elapsed/actions excluded from equality
 

@@ -89,6 +89,13 @@ def test_run_config_validation(tmp_path, capsys):
         path.write_text(json.dumps({**base, field: value}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
         assert f"'{field}" in capsys.readouterr().err, (field, value)
+    # agent entries: horizon a JSON integer, alpha, beta, eta and sigma2
+    # JSON numbers
+    for field, value in (("horizon", 100.5), ("alpha", True), ("sigma2", "1"),
+                         ("eta", False)):
+        path.write_text(json.dumps({**base, "agents": [{"algorithm": "sae", field: value}]}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
+        assert f"'agents[0].{field}'" in capsys.readouterr().err, (field, value)
     path.write_text(json.dumps([base]))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "JSON object" in capsys.readouterr().err
