@@ -35,6 +35,7 @@ from .structures import (
     save_structure,
 )
 from .theory import (
+    TheorySequences,
     asae_bound,
     asae_constant_bound,
     deterministic_sequences,
@@ -82,13 +83,14 @@ def _load_structure(path: str) -> Structure:
         raise UsageError(str(exc))
 
 
-# builder name -> (structure from the entry's options, gen flags -> those options)
+# builder name -> (the entry's options parsed: a structure, or the random
+# builder's GeneratorSpec; gen flags -> those options)
 _BUILDERS = {
     "figure_left": (build_figure_left,
                     lambda args: {"informative_arm2": not args.no_informative_arm2}),
     "figure_right": (build_figure_right,
                      lambda args: {"arm1_fourth_model": args.arm1_fourth}),
-    "random": (lambda **options: generate_random(GeneratorSpec(**options)),
+    "random": (GeneratorSpec,
                lambda args: {"arm_count": args.arms, "base_model_count": args.base_models,
                              "hard_model_count": args.hard_models,
                              "optimistic_scale": args.optimistic_scale,
@@ -96,22 +98,33 @@ _BUILDERS = {
 }
 
 
-def _structure_from_entry(entry) -> tuple[Structure, str]:
-    """Resolve a config 'structure' entry (path string or builder dict)."""
+def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | GeneratorSpec, str]:
+    """Resolve a config 'structure' entry (path string or builder dict) to
+    the structure and its source.  With ``fresh`` the entry must name the
+    random builder, and its GeneratorSpec stands in for the structure.
+    """
+    if fresh and not (isinstance(entry, dict) and entry.get("builder") == "random"):
+        raise UsageError("fresh_structure_per_run requires the 'random' builder")
     if isinstance(entry, str):
         return _load_structure(entry), entry
     if not isinstance(entry, dict):
         raise UsageError("structure entry must be a path string or a builder object")
     if "path" in entry:
+        extra = sorted(key for key in entry if key != "path")
+        if extra:
+            raise UsageError(f"a structure entry with 'path' takes no other keys, got {extra}")
         return _load_structure(entry["path"]), entry["path"]
     builder = entry.get("builder")
     if not isinstance(builder, str) or builder not in _BUILDERS:
         raise UsageError(f"unknown structure builder {builder!r}")
     options = {k: v for k, v in entry.items() if k != "builder"}
     try:
-        return _BUILDERS[builder][0](**options), builder
+        built = _BUILDERS[builder][0](**options)
+        if isinstance(built, GeneratorSpec) and not fresh:
+            built = generate_random(built)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad structure options for builder {builder!r}: {exc}")
+    return built, builder
 
 
 def _strict_int(value, field: str) -> int:
@@ -128,10 +141,10 @@ def _strict_number(value, field: str) -> int | float:
     return value
 
 
-# type checks on agent entry fields; null goes on to AgentConfig, which
-# takes it as an unset horizon or sigma2 and rejects it elsewhere
+# type checks on agent entry fields; null means unset for the nullable ones
 _AGENT_FIELDS = {"horizon": _strict_int, "alpha": _strict_number, "beta": _strict_number,
                  "eta": _strict_number, "sigma2": _strict_number}
+_NULLABLE_AGENT_FIELDS = ("horizon", "sigma2")
 
 
 def _agent_configs(entries) -> tuple[AgentConfig, ...]:
@@ -141,7 +154,7 @@ def _agent_configs(entries) -> tuple[AgentConfig, ...]:
     for index, entry in enumerate(entries):
         if isinstance(entry, dict):
             for name, check in _AGENT_FIELDS.items():
-                if entry.get(name) is not None:
+                if name in entry and not (entry[name] is None and name in _NULLABLE_AGENT_FIELDS):
                     check(entry[name], f"agents[{index}].{name}")
         try:
             configs.append(AgentConfig(**entry))
@@ -178,13 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"config field 'fresh_structure_per_run' must be true or false, got {fresh!r}")
     try:
         if fresh:
-            if not isinstance(entry, dict) or entry.get("builder") != "random":
-                raise UsageError("fresh_structure_per_run requires the 'random' builder")
-            options = {k: v for k, v in entry.items() if k != "builder"}
-            try:
-                spec = GeneratorSpec(**options)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad structure options: {exc}")
+            spec, _ = _structure_from_entry(entry, fresh=True)
             batch = run_randomized_batch(
                 spec, agents, horizon, runs=runs, base_seed=base_seed,
                 checkpoints=checkpoints, level=level, workers=workers)
@@ -211,8 +218,7 @@ def _print_batch_summary(batch: BatchResult) -> None:
               f"({aggregate.run_count} runs)")
 
 
-def _sequences_document(structure: Structure, alpha: float, beta: float, n: int) -> dict:
-    sequences = deterministic_sequences(structure, alpha, beta, n)
+def _sequences_document(sequences: TheorySequences) -> dict:
     phases = []
     for h, active in enumerate(sequences.active):
         row = {"phase": h, "threshold": 2.0 ** (-h), "active": sorted(active)}
@@ -221,7 +227,7 @@ def _sequences_document(structure: Structure, alpha: float, beta: float, n: int)
             row["surely_active"] = sorted(sequences.surely_active[h])
         phases.append(row)
     return {
-        "alpha": alpha, "beta": beta, "n": n,
+        "alpha": sequences.alpha, "beta": sequences.beta, "n": sequences.n,
         "k_beta": sequences.k_beta,
         "phases": phases,
         "last_active_phase": {str(a): h for a, h in sorted(sequences.last_active_phase.items())},
@@ -238,9 +244,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
         raise UsageError("--n is required for sequences and horizon-dependent bounds")
     document: dict = {"structure": args.structure, "bounds": [], "notes": []}
     try:
+        if "sae" in requested or args.sequences:
+            sequences = deterministic_sequences(structure, args.alpha, args.beta, args.n)
         for name in requested:
             if name == "sae":
-                sequences = deterministic_sequences(structure, args.alpha, args.beta, args.n)
                 document["bounds"].append(sae_bound(structure, sequences, args.n).to_dict())
             elif name == "asae":
                 document["bounds"].append(asae_bound(structure, args.n).to_dict())
@@ -259,8 +266,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 except ValueError as exc:
                     document["notes"].append(f"lower: {exc}")
         if args.sequences:
-            document["sequences"] = _sequences_document(
-                structure, args.alpha, args.beta, args.n)
+            document["sequences"] = _sequences_document(sequences)
     except ValueError as exc:
         raise UsageError(str(exc))
     text = json.dumps(document, indent=1)

@@ -42,10 +42,12 @@ class BanditModel:
     """One candidate assignment of mean rewards, one per arm.
 
     Means live in [0, 1] and the largest mean must be unique so that every
-    model has a well defined optimal arm.
+    model has a well defined optimal arm, stored with its mean on creation.
     """
 
     means: tuple[float, ...]
+    optimal_arm: int = field(init=False, compare=False, repr=False)
+    optimal_mean: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.means) == 0:
@@ -55,20 +57,14 @@ class BanditModel:
             if not (0.0 <= m <= 1.0) or math.isnan(m):
                 raise ValueError(f"mean of arm {i} is {m}, outside [0, 1]")
         best = max(self.means)
-        if len(self.means) > 1 and sorted(self.means)[-2] == best:
+        if self.means.count(best) > 1:
             raise ValueError("tied optimal arms; model means must have a unique maximum")
+        object.__setattr__(self, "optimal_arm", self.means.index(best))
+        object.__setattr__(self, "optimal_mean", best)
 
     @property
     def arm_count(self) -> int:
         return len(self.means)
-
-    @property
-    def optimal_arm(self) -> int:
-        return max(range(len(self.means)), key=self.means.__getitem__)
-
-    @property
-    def optimal_mean(self) -> float:
-        return max(self.means)
 
 
 @dataclass(frozen=True)
@@ -140,6 +136,17 @@ def model_gap(a: BanditModel, b: BanditModel, arm: int) -> float:
     return abs(a.means[arm] - b.means[arm])
 
 
+def _worst_gap(model: BanditModel, true: BanditModel, arms, stale=None) -> float:
+    """Largest per-arm separation of ``model`` from ``true`` over ``arms``
+    (0 for no arms).  With ``stale``, the gap on arm ``j`` is first halved
+    ``stale.get(j, 0)`` times.
+    """
+    a, b = model.means, true.means
+    if stale is None:
+        return max((abs(a[j] - b[j]) for j in arms), default=0.0)
+    return max((abs(a[j] - b[j]) / 2.0 ** stale.get(j, 0) for j in arms), default=0.0)
+
+
 def _check_model_subset(structure: Structure, subset) -> list[int]:
     out = sorted(set(subset))
     for k in out:
@@ -206,16 +213,18 @@ def psi(structure: Structure, subset, arms) -> tuple[float, int | None]:
     best_value = math.inf
     best_model: int | None = None
     for k in model_list:
-        model = structure.models[k]
-        worst = 0.0
-        for i in arm_list:
-            g = model_gap(model, true, i) ** 2
-            if g > worst:
-                worst = g
+        # fl(x**2) is monotone: the square of the worst gap is the worst squared gap
+        worst = _worst_gap(structure.models[k], true, arm_list) ** 2
         if worst < best_value:
             best_value = worst
             best_model = k
     return best_value, best_model
+
+
+def _competitors(structure: Structure) -> list[BanditModel]:
+    """Models that disagree with the true model about the optimal arm."""
+    i_star = structure.optimal_arm
+    return [model for model in structure.models if model.optimal_arm != i_star]
 
 
 def gamma_star(structure: Structure) -> float:
@@ -226,12 +235,8 @@ def gamma_star(structure: Structure) -> float:
     """
     i_star = structure.optimal_arm
     true = structure.true_model
-    competitors = [
-        model for model in structure.models if model.optimal_arm != i_star
-    ]
-    if not competitors:
-        return math.inf
-    return min(model_gap(model, true, i_star) for model in competitors)
+    return min((model_gap(model, true, i_star) for model in _competitors(structure)),
+               default=math.inf)
 
 
 def delta_floor(structure: Structure) -> float:
@@ -239,12 +244,8 @@ def delta_floor(structure: Structure) -> float:
     that disagree about the optimal arm.  ``inf`` when every model agrees.
     """
     i_star = structure.optimal_arm
-    competitors = [
-        model for model in structure.models if model.optimal_arm != i_star
-    ]
-    if not competitors:
-        return math.inf
-    return min(suboptimality_gap(model, i_star) for model in competitors)
+    return min((suboptimality_gap(model, i_star) for model in _competitors(structure)),
+               default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -292,12 +293,9 @@ def classify(structure: Structure, sequences=None) -> StructureClass:
             continue
         opt = optimistic_models(structure, i)
         # Optimistic models that the other arms cannot see at all.
+        others = [j for j in arms if j != i]
         blind = frozenset(
-            k for k in opt
-            if all(
-                model_gap(structure.models[k], true, j) <= TOLERANCE
-                for j in arms if j != i
-            )
+            k for k in opt if _worst_gap(structure.models[k], true, others) <= TOLERANCE
         )
         full, _ = psi(structure, opt, (i,))
         restricted, _ = psi(structure, blind, (i,))
@@ -321,19 +319,10 @@ def classify(structure: Structure, sequences=None) -> StructureClass:
                 break
 
     g_star = gamma_star(structure)
-    in_cr = True
-    for k, model in enumerate(structure.models):
-        if model.optimal_arm == i_star:
-            continue
-        if not _close(model_gap(model, true, i_star), g_star):
-            in_cr = False
-            break
-        keep = (model.optimal_arm, i_star)
-        if any(
-            model_gap(model, true, j) > TOLERANCE
-            for j in arms if j not in keep
-        ):
-            in_cr = False
-            break
+    in_cr = all(
+        _close(model_gap(model, true, i_star), g_star)
+        and _worst_gap(model, true, set(arms) - {model.optimal_arm, i_star}) <= TOLERANCE
+        for model in _competitors(structure)
+    )
 
     return StructureClass(in_worst_case=in_wc, in_optimality=in_opt, in_constant_regret=in_cr)

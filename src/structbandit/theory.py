@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 from .gaps import (
     Structure,
+    _worst_gap,
     classify,
     delta_floor,
     gamma_star,
-    model_gap,
     models_with_optimal_arm,
     optimal_arm_set,
     optimistic_models,
@@ -93,6 +93,11 @@ def deterministic_sequences(
     favouring = {i: sorted(models_with_optimal_arm(structure, i)) for i in a_star}
     cap = math.ceil(math.log2(n))
 
+    def separation(i, arms, stale=None) -> float:
+        # worst gap on arms of the closest model favouring arm i; unsquared,
+        # unlike psi, since t <= s and t * t <= fl(s * s) can disagree
+        return min(_worst_gap(structure.models[k], true, arms, stale) for k in favouring[i])
+
     active: list[frozenset[int]] = [frozenset(a_star)]
     removed: list[frozenset[int]] = []
     surely: list[frozenset[int]] = []
@@ -103,42 +108,14 @@ def deterministic_sequences(
         if h == 0:
             under = frozenset(a_star)
         else:
-            under = set()
-            for i in arms_h:
-                score = math.inf
-                for k in favouring[i]:
-                    model = structure.models[k]
-                    worst = 0.0
-                    for j in a_star:
-                        h_j = last.get(j)
-                        stale = 0 if h_j is None else max(h - h_j - 1, 0)
-                        g = model_gap(model, true, j) / (2.0 ** stale)
-                        if g > worst:
-                            worst = g
-                    if worst < score:
-                        score = worst
-                if 2.0 ** (-(h - 1)) > kb * score:
-                    under.add(i)
-            under = frozenset(under)
+            stale = {j: max(h - h_j - 1, 0) for j, h_j in last.items()}
+            under = frozenset(i for i in arms_h
+                              if 2.0 ** (-(h - 1)) > kb * separation(i, a_star, stale))
         surely.append(under)
 
         threshold = 2.0 ** (-h)
-        gone = set()
-        for i in arms_h:
-            score = math.inf
-            probe = sorted(under | {i})
-            for k in favouring[i]:
-                model = structure.models[k]
-                worst = 0.0
-                for j in probe:
-                    g = model_gap(model, true, j)
-                    if g > worst:
-                        worst = g
-                if worst < score:
-                    score = worst
-            if threshold <= score:
-                gone.add(i)
-        removed.append(frozenset(gone))
+        gone = frozenset(i for i in arms_h if threshold <= separation(i, under | {i}))
+        removed.append(gone)
         for i in gone:
             last[i] = h
         nxt = frozenset(arms_h - gone)
@@ -215,16 +192,12 @@ class BoundReport:
         }
 
 
-def _sum_terms(terms: list[BoundTerm], constant: float) -> float:
-    total = constant
-    for t in terms:
-        total += t.value
-    return total
-
-
 def _report(name: str, terms: list[BoundTerm], constant: float, params: dict,
             flags: dict) -> BoundReport:
-    return BoundReport(name=name, value=_sum_terms(terms, constant), terms=tuple(terms),
+    value = constant
+    for t in terms:
+        value += t.value
+    return BoundReport(name=name, value=value, terms=tuple(terms),
                        constant=constant, params=params, flags=flags)
 
 
@@ -381,14 +354,8 @@ def ucb_reference_bound(structure: Structure, n: int, c: float = 8.0,
         if gap > 0.0:
             terms.append(BoundTerm(arm=i, gap=gap, separation=gap * gap,
                                    value=c * log_n / gap))
-    return BoundReport(
-        name="index_policy_reference",
-        value=_sum_terms(terms, c_prime),
-        terms=tuple(terms),
-        constant=c_prime,
-        params={"n": n, "c": c, "c_prime": c_prime},
-        flags={},
-    )
+    return _report("index_policy_reference", terms, c_prime,
+                   {"n": n, "c": c, "c_prime": c_prime}, {})
 
 
 def omega(x: float) -> int:
@@ -474,22 +441,10 @@ def lower_bound_cr(structure: Structure, c: float = 8.0, n: int | None = None) -
     if horizon_ok is not None:
         flags["horizon_large_enough"] = horizon_ok
 
-    return BoundReport(
-        name="constant_regret_floor",
-        value=_sum_terms(terms, 0.0),
-        terms=tuple(terms),
-        constant=0.0,
-        params={
-            "c": c,
-            "n": n,
-            "gamma_star": g_star,
-            "delta_floor": delta,
-            "aggregate_inverse_gaps": d,
-            "omega": omega_value,
-            "log_argument": log_arg,
-        },
-        flags=flags,
-    )
+    return _report("constant_regret_floor", terms, 0.0,
+                   {"c": c, "n": n, "gamma_star": g_star, "delta_floor": delta,
+                    "aggregate_inverse_gaps": d, "omega": omega_value, "log_argument": log_arg},
+                   flags)
 
 
 def confidence_failure_bound(n: int, alpha: float, beta: float, a_star_count: int) -> float:

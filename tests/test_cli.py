@@ -90,12 +90,12 @@ def test_run_config_validation(tmp_path, capsys):
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
         assert f"'{field}" in capsys.readouterr().err, (field, value)
     # agent entries: horizon a JSON integer, alpha, beta, eta and sigma2
-    # JSON numbers
+    # JSON numbers, null only for horizon and sigma2
     for field, value in (("horizon", 100.5), ("alpha", True), ("sigma2", "1"),
-                         ("eta", False)):
+                         ("eta", False), ("alpha", None), ("beta", None), ("eta", None)):
         path.write_text(json.dumps({**base, "agents": [{"algorithm": "sae", field: value}]}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
-        assert f"'agents[0].{field}'" in capsys.readouterr().err, (field, value)
+        assert f"'agents[0].{field}' must be" in capsys.readouterr().err, (field, value)
     path.write_text(json.dumps([base]))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "JSON object" in capsys.readouterr().err
@@ -168,6 +168,40 @@ def test_run_fresh_structures(tmp_path):
     assert manifest["structure"]["source"] == "randomized-per-run"
 
 
+def test_run_structure_entry_errors(tmp_path, capsys):
+    base = {"horizon": 50, "runs": 2, "agents": [{"algorithm": "sucb"}]}
+    path = tmp_path / "c.json"
+    # a bad random-builder option reads the same with and without fresh structures
+    messages = []
+    for fresh in (False, True):
+        path.write_text(json.dumps({**base, "fresh_structure_per_run": fresh,
+                                    "structure": {"builder": "random", "arm_count": 2}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert "bad structure options for builder 'random'" in messages[0]
+    assert "arm_count" in messages[0]
+    # a path entry takes no builder options
+    structure_path = tmp_path / "s.json"
+    sb.save_structure(sb.build_figure_right(), structure_path)
+    path.write_text(json.dumps({**base, "structure": {
+        "path": str(structure_path), "builder": "random", "arm_count": 7}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "['arm_count', 'builder']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_null_means_unset(tmp_path, capsys):
+    # null is accepted for an agent's horizon and sigma2 only
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "horizon": 50, "runs": 2, "checkpoints": [50], "structure": {"builder": "figure_right"},
+        "agents": [{"algorithm": "sae", "alpha": 2.0, "beta": 1.0,
+                    "horizon": None, "sigma2": None}]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+
+
 def test_gen_and_classify(tmp_path, capsys):
     structure_path = str(tmp_path / "gen.json")
     assert main(["gen", "--builder", "random", "--out", structure_path,
@@ -229,6 +263,22 @@ def test_theory_sequences_document(right_structure_file, tmp_path, capsys):
     assert seq["last_active_phase"] == {"1": 3, "2": 3, "3": 2}
     assert seq["informative_arms"] == {"1": [0, 1], "2": [0, 2], "3": [0, 3]}
     assert [p["active"] for p in seq["phases"]][2:] == [[0, 1, 2, 3], [0, 1, 2], [0]]
+
+
+def test_theory_builds_schedule_once(right_structure_file, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sb.deterministic_sequences(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "deterministic_sequences", counting)
+    assert main(["theory", "--structure", right_structure_file, "--bound", "sae",
+                 "--sequences", "--alpha", "4", "--beta", "2", "--n", "500000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["name"] for b in doc["bounds"]] == ["phased_elimination"]
+    assert doc["sequences"]["n"] == 500000
+    assert len(calls) == 1
 
 
 def test_theory_usage_errors(right_structure_file, capsys):

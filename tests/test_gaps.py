@@ -1,6 +1,7 @@
 """Gap primitives, psi, and the structure classifiers."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,18 @@ def test_bandit_model_optimal_arm():
     assert sb.BanditModel(REGION1).optimal_arm == 0
     assert sb.BanditModel((1.0,)).optimal_arm == 0
     assert sb.BanditModel(REGION4).optimal_arm == 1
+
+
+def test_bandit_model_stored_optimum():
+    # optimal_arm and optimal_mean are set once on creation; equality, hash
+    # and repr see the means only, and a pickled copy keeps both
+    model = sb.BanditModel((0.2, 0.9, 0.4))
+    assert (model.optimal_arm, model.optimal_mean) == (1, 0.9)
+    assert repr(model) == "BanditModel(means=(0.2, 0.9, 0.4))"
+    assert model == sb.BanditModel([0.2, 0.9, 0.4])
+    assert hash(model) == hash(sb.BanditModel((0.2, 0.9, 0.4)))
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and (copy.optimal_arm, copy.optimal_mean) == (1, 0.9)
 
 
 def test_bandit_model_validation():

@@ -1,5 +1,6 @@
 """Golden outputs: sha256 of every file that `run`, `gen` and `theory` write
-on tiny versions of the four paper-suite figures.
+on tiny versions of the four paper-suite figures, plus `theory` (the regret
+floor among its bounds) and `classify` on a constant-regret structure.
 
 The digests pin today's numbers byte for byte, so a change that must leave
 outputs alone (a refactor, an optimisation) is checked here.  Update them
@@ -7,7 +8,9 @@ only with an intended output change, and say so where the change is
 recorded; `python tests/test_golden.py` prints the current digests.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -38,6 +41,17 @@ THEORY_ARGS = ["theory", "--structure", "structure.json", "--bound", "sae",
                "--bound", "asae", "--bound", "const", "--bound", "sucb", "--bound", "ucb",
                "--sequences", "--alpha", "3", "--beta", "2", "--n", "100000",
                "--out", "theory.json"]
+
+# the criterion-10 constant-regret structure at gamma = 1e-3
+_GAMMA = 1e-3
+LOWER_STRUCTURE = {"arm_count": 3, "true_index": 0,
+                   "models": [[0.5, 0.3, 0.2], [0.5 - _GAMMA, 0.6, 0.2],
+                              [0.5 - _GAMMA, 0.3, 0.7]]}
+_LOWER_PARAMS = ["--alpha", "4", "--beta", "2", "--n", "500000"]
+LOWER_THEORY_ARGS = ["theory", "--structure", "structure.json", "--bound", "lower",
+                     "--bound", "const", "--bound", "sae", "--sequences",
+                     *_LOWER_PARAMS, "--out", "theory.json"]
+LOWER_CLASSIFY_ARGS = ["classify", "--structure", "structure.json", *_LOWER_PARAMS]
 
 GOLDEN = {
     "fig3a": {
@@ -126,6 +140,14 @@ GOLDEN = {
         "theory.json":
             "d111188296a9806263fb50566bf17d9ed5dbf87975d91d03584b3e06ef9808d5",
     },
+    "lower": {
+        "classify.json":
+            "7fd59d172d58f4671f57f994a497d26d17a56b2a4fac7d50019f963017d58339",
+        "structure.json":
+            "4d79b1c10d49e459f3dacfc841f11f80c58bd4cced77bb830a4de713164a3890",
+        "theory.json":
+            "5d1766f7aefeff5e7fc29876101a1c74597828d94be296cf4aacfd35683d4e1b",
+    },
 }
 
 
@@ -157,6 +179,21 @@ def produce(workdir):
     finally:
         os.chdir(cwd)
     out["theory"] = _digests(target)
+    target = os.path.join(workdir, "lower")
+    os.makedirs(target)
+    os.chdir(target)
+    try:
+        with open("structure.json", "w") as handle:
+            json.dump(LOWER_STRUCTURE, handle)
+        assert main(LOWER_THEORY_ARGS) == 0
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(LOWER_CLASSIFY_ARGS) == 0
+        with open("classify.json", "w") as handle:
+            handle.write(printed.getvalue())
+    finally:
+        os.chdir(cwd)
+    out["lower"] = _digests(target)
     return out
 
 

@@ -82,6 +82,19 @@ def test_sequences_immediate_elimination():
     assert seqs.informative_arms == {1: frozenset({0, 1})}
 
 
+def test_sequences_discount_stale_arms():
+    # arm 0 leaves in phase 0, so in phase 3 its gap to model 1 (the only
+    # model favouring arm 2) is halved twice: k_beta * max(0.3 / 4, 0.1, 0.2)
+    # = 0.245 < 2**-2 keeps arm 2 surely active; the full 0.3 would not
+    structure = mk([[0.65, 1.0, 0.8], [0.95, 0.9, 1.0], [0.75, 1.0, 0.9],
+                    [0.95, 1.0, 0.25], [0.8, 1.0, 0.9], [0.95, 1.0, 0.4],
+                    [1.0, 0.0, 0.95]], 0)
+    seqs = sb.deterministic_sequences(structure, alpha=100.0, beta=10.0, n=10_000)
+    assert seqs.removed == (frozenset({0}), frozenset(), frozenset(), frozenset({2}))
+    assert seqs.surely_active[3] == frozenset({1, 2})
+    assert seqs.informative_arms == {0: frozenset({0, 1, 2}), 2: frozenset({1, 2})}
+
+
 def test_sequences_singleton_optimal_set():
     structure = mk([[0.8, 0.2], [0.6, 0.3]], 0)
     seqs = sb.deterministic_sequences(structure, alpha=4.0, beta=2.0, n=1000)
