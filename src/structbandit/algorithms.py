@@ -13,6 +13,16 @@ Four agents behind one select/observe interface:
 
 ``Environment`` draws rewards for the true model; ``simulate`` runs one agent
 against one environment and records pseudo-regret at checkpoints.
+
+Once an eliminator has settled (one active arm left, or the empty-set
+fallback) no reward can change its arm until the period ends (ASAE) or
+ever (SAE).  Before each stretch of steps ``simulate`` asks it for such a
+forced block, or for the number of round-robin steps before one could
+start, and consumes a block in one vector step: ``Environment.take`` hands
+out the block's rewards from the current draw chunk, the agent folds them
+into its counts at once, and the regret is folded left to right with
+``np.add.accumulate``, so every output keeps the bits of the step-by-step
+path.  The scalar ``select``/``observe`` path stays the public interface.
 """
 
 from __future__ import annotations
@@ -186,6 +196,9 @@ class _EliminationAgent(_Agent):
     with its active arms recomputed (arms re-enter only there).
     """
 
+    # SAE's single period never closes; ASAE opens the next one at n_k
+    _periods_close = True
+
     def __init__(self, structure: Structure, config: AgentConfig, horizon: int) -> None:
         super().__init__(structure.arm_count, config, structure.reward)
         self.structure = structure
@@ -246,9 +259,53 @@ class _EliminationAgent(_Agent):
                 return arm
         raise RuntimeError("all active arms met the phase target; boundary was not processed")
 
+    def _next_block(self) -> tuple[int | None, float]:
+        """(arm, steps): how the next `steps` steps go, up to the next point
+        where a reward can change the arm choice.
+
+        A forced block has arm set: the fallback or the lone active arm,
+        played whatever the rewards until the period ends (for SAE, for
+        ever).  Otherwise arm is None and the steps are round-robin steps,
+        the pulls still missing to the phase target (fewer at a period end),
+        taken one select/observe at a time.  With a select still awaiting
+        its observe it is one such step, whose select raises.
+        """
+        if self._pending is not None:
+            return None, 1
+        arm, steps = self._fallback, math.inf
+        if arm is None and len(self._active_arms) == 1:
+            arm = self._active_arms[0]
+        elif arm is None:
+            steps = sum(max(self._target - self._pulls[a], 0) for a in self._active_arms)
+        if self._periods_close:
+            steps = min(steps, self._period_horizon - self._step)
+        return arm, steps
+
+    def _observe_block(self, arm: int, rewards: np.ndarray) -> None:
+        """Observe len(rewards) pulls of a forced block's arm at once.
+
+        Leaves the state that as many observe calls leave: the same reward
+        checks, counts and reward sum, then the boundary work of the last
+        step (inside a forced block no earlier step has any).
+        """
+        bernoulli = self._reward.kind == "bernoulli"
+        ok = (rewards == 0.0) | (rewards == 1.0) if bernoulli else np.isfinite(rewards)
+        if not ok.all():
+            self._check_reward(float(rewards[np.argmin(ok)]))
+        k = len(rewards)
+        self._pulls[arm] += k
+        if bernoulli:
+            # sums of 0/1 rewards are integers, exact in any order
+            self._rewards[arm] += float(np.count_nonzero(rewards))
+        else:
+            folded = np.add.accumulate(np.concatenate(([self._rewards[arm]], rewards)))
+            self._rewards[arm] = float(folded[-1])
+        self._step += k
+        self._after_observe(arm)
+
     def _after_observe(self, arm: int) -> None:
         self._catch_up()
-        if self._step >= self._period_horizon:
+        if self._periods_close and self._step >= self._period_horizon:
             self._advance_period()
             self._catch_up()
 
@@ -319,13 +376,12 @@ class SaeAgent(_EliminationAgent):
     period of horizon n that never closes, so the model set is always
     refiltered from the full set."""
 
+    _periods_close = False
+
     def __init__(self, structure: Structure, config: AgentConfig) -> None:
         if config.horizon is None or config.horizon < 2:
             raise ValueError("sae requires horizon >= 2")
         super().__init__(structure, config, config.horizon)
-
-    def _after_observe(self, arm: int) -> None:
-        self._catch_up()
 
 
 class AsaeAgent(_EliminationAgent):
@@ -553,6 +609,21 @@ class Environment:
             return 1.0 if draw < self._means[arm] else 0.0
         return float(self._means[arm] + self._sigma * draw)
 
+    def take(self, arm: int, k: int) -> np.ndarray:
+        """Rewards of up to k pulls of one arm, as k pull calls give them.
+
+        Hands out at most the rest of the current draw chunk, and for k >= 1
+        at least one reward; it refills where pull would, so the stream is
+        unchanged.
+        """
+        if self._pos == len(self._buf):
+            self._refill()
+        draws = self._buf[self._pos:self._pos + k]
+        self._pos += len(draws)
+        if self.reward.kind == "bernoulli":
+            return (draws < self._means[arm]).astype(np.float64)
+        return self._means[arm] + self._sigma * draws
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -583,6 +654,10 @@ def simulate(agent, environment: Environment, horizon: int,
     pulled arms, not realized-reward regret.  Checkpoints must be sorted and
     within the horizon; the default is the single final step.  audit keeps
     the full per-step arm log (small horizons only).
+
+    An eliminator's forced blocks (see the module docstring) are consumed
+    in one vector step each, at most one draw chunk at a time; every other
+    step is one select/observe.
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
@@ -596,21 +671,45 @@ def simulate(agent, environment: Environment, horizon: int,
     if cps and (cps[0] < 1 or cps[-1] > horizon):
         raise ValueError("checkpoints must lie in [1, horizon]")
     gaps = true_gaps(environment.structure)
+    next_block = getattr(agent, "_next_block", None)
     start = time.perf_counter()
     regret = 0.0
     out = []
     actions = [] if audit else None
     pos = 0
-    for t in range(1, horizon + 1):
-        arm = agent.select()
-        reward = environment.pull(arm)
-        agent.observe(arm, reward)
-        regret += gaps[arm]
+    t = 0
+    while t < horizon:
+        # agents without the hook take every step through select/observe
+        arm, steps = (None, horizon) if next_block is None else next_block()
+        stop = min(t + steps, horizon)
+        if arm is None:
+            for t in range(t + 1, stop + 1):
+                arm = agent.select()
+                reward = environment.pull(arm)
+                agent.observe(arm, reward)
+                regret += gaps[arm]
+                if actions is not None:
+                    actions.append(arm)
+                while pos < len(cps) and cps[pos] == t:
+                    out.append(regret)
+                    pos += 1
+            continue
+        rewards = environment.take(arm, stop - t)
+        k = len(rewards)
+        agent._observe_block(arm, rewards)
+        # add.accumulate folds strictly left to right, so each partial sum
+        # has the bits of the scalar `regret += gap`; a pairwise sum or
+        # k * gap would not
+        increments = np.full(k + 1, gaps[arm])
+        increments[0] = regret
+        folded = np.add.accumulate(increments)
         if actions is not None:
-            actions.append(arm)
-        while pos < len(cps) and cps[pos] == t:
-            out.append(regret)
+            actions.extend([arm] * k)
+        while pos < len(cps) and cps[pos] <= t + k:
+            out.append(float(folded[cps[pos] - t]))
             pos += 1
+        regret = float(folded[k])
+        t += k
     return RunResult(
         algorithm=agent.config.algorithm,
         checkpoints=tuple(cps),

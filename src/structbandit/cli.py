@@ -113,6 +113,8 @@ def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | Gener
         extra = sorted(key for key in entry if key != "path")
         if extra:
             raise UsageError(f"a structure entry with 'path' takes no other keys, got {extra}")
+        if not isinstance(entry["path"], str):
+            raise UsageError(f"structure entry 'path' must be a string, got {entry['path']!r}")
         return _load_structure(entry["path"]), entry["path"]
     builder = entry.get("builder")
     if not isinstance(builder, str) or builder not in _BUILDERS:

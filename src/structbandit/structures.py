@@ -143,6 +143,10 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("arm_count", "base_model_count", "hard_model_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.arm_count < 3:
             raise ValueError(
                 f"arm_count must be at least 3 so a hard model can raise one arm "

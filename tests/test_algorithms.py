@@ -425,6 +425,75 @@ def test_simulate_audit_log(fig_right):
     assert again == result  # elapsed/actions excluded from equality
 
 
+@pytest.mark.parametrize("reward", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("config", [
+    sb.AgentConfig("sae", horizon=30_000),
+    sb.AgentConfig("sae", alpha=0.05, horizon=30_000),
+    sb.AgentConfig("asae", eta=0.01),
+    sb.AgentConfig("asae", eta=1.0)], ids=["sae", "sae_a005", "asae_001", "asae_1"])
+def test_forced_blocks_match_scalar_steps(fig_right, reward, config):
+    # simulate consumes settled eliminators in blocks; a plain select/pull/
+    # observe loop is the oracle.  Every step is a checkpoint, so regret is
+    # compared inside every block, across draw-chunk refills (8192 draws)
+    # and at ASAE period boundaries.
+    structure = fig_right
+    if reward == "gaussian":
+        structure = sb.Structure(models=fig_right.models, true_index=0,
+                                 reward=sb.RewardSpec("gaussian", 0.25))
+    horizon = 30_000
+    gaps = sb.true_gaps(structure)
+    settled_gaps = []
+    # at alpha = 0.05, seed 5 ends on a suboptimal fallback arm
+    for seed in (0, 5):
+        oracle = sb.make_agent(structure, config)
+        env = sb.Environment(structure, seed=seed)
+        regret, regrets, actions = 0.0, [], []
+        for _ in range(horizon):
+            arm = oracle.select()
+            oracle.observe(arm, env.pull(arm))
+            regret += gaps[arm]
+            regrets.append(regret)
+            actions.append(arm)
+
+        agent = sb.make_agent(structure, config)
+        env = sb.Environment(structure, seed=seed)
+        scalar_pulls = []
+        pull = env.pull
+        env.pull = lambda arm: scalar_pulls.append(arm) or pull(arm)
+        result = sb.simulate(agent, env, horizon,
+                             checkpoints=range(1, horizon + 1), audit=True)
+        assert len(scalar_pulls) < horizon // 2  # most steps came in blocks
+        assert result.regret == tuple(regrets)
+        assert result.actions == tuple(actions)
+        assert result.pull_counts == oracle.snapshot().pull_counts
+        assert agent.snapshot() == oracle.snapshot()
+        assert agent.history == oracle.history
+        if config.algorithm == "asae":
+            assert agent.snapshot().period >= 3
+        state = agent.snapshot()
+        settled = agent.fallback_arm
+        if settled is None and len(state.active_arms) == 1:
+            settled = state.active_arms[0]
+        settled_gaps.append(gaps[settled])
+    if config.alpha == 0.05:
+        # a nonzero gap in a block: k * gap would not give the sums above
+        assert max(settled_gaps) > 0.0
+
+
+def test_forced_block_reward_checks():
+    # arm 0 is optimal for every model, so SAE is forced from the first step
+    structure = mk([[0.8, 0.2], [0.6, 0.3]], 0)
+    gaussian = sb.RewardSpec("gaussian", 0.25)
+    agent = sb.SaeAgent(structure, sb.AgentConfig("sae", horizon=500))
+    env = sb.Environment(structure, seed=0, reward=gaussian)
+    with pytest.raises(ValueError, match="bernoulli reward must be 0 or 1"):
+        sb.simulate(agent, env, 500)
+    structure = mk([[0.8, 0.2], [0.6, 0.3]], 0, reward=gaussian)
+    agent = sb.SaeAgent(structure, sb.AgentConfig("sae", horizon=500))
+    with pytest.raises(ValueError, match="reward must be finite, got inf"):
+        agent._observe_block(0, np.array([0.5, math.inf]))
+
+
 def test_environment_reward_streams(fig_right):
     env = sb.Environment(fig_right, seed=11)
     draws = [env.pull(0) for _ in range(200)]

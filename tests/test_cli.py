@@ -172,15 +172,17 @@ def test_run_structure_entry_errors(tmp_path, capsys):
     base = {"horizon": 50, "runs": 2, "agents": [{"algorithm": "sucb"}]}
     path = tmp_path / "c.json"
     # a bad random-builder option reads the same with and without fresh structures
-    messages = []
-    for fresh in (False, True):
-        path.write_text(json.dumps({**base, "fresh_structure_per_run": fresh,
-                                    "structure": {"builder": "random", "arm_count": 2}}))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        messages.append(capsys.readouterr().err)
-    assert messages[0] == messages[1]
-    assert "bad structure options for builder 'random'" in messages[0]
-    assert "arm_count" in messages[0]
+    # (out of range, and of the wrong JSON type)
+    for arm_count in (2, 4.0):
+        messages = []
+        for fresh in (False, True):
+            path.write_text(json.dumps({**base, "fresh_structure_per_run": fresh,
+                                        "structure": {"builder": "random", "arm_count": arm_count}}))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "bad structure options for builder 'random'" in messages[0]
+        assert "arm_count" in messages[0]
     # a path entry takes no builder options
     structure_path = tmp_path / "s.json"
     sb.save_structure(sb.build_figure_right(), structure_path)
@@ -188,6 +190,10 @@ def test_run_structure_entry_errors(tmp_path, capsys):
         "path": str(structure_path), "builder": "random", "arm_count": 7}}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "['arm_count', 'builder']" in capsys.readouterr().err
+    # a path must be a string, not a number that open() reads as a descriptor
+    path.write_text(json.dumps({**base, "structure": {"path": 3}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "structure entry 'path' must be a string, got 3" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -99,6 +99,10 @@ def test_generator_spec_validation():
         sb.GeneratorSpec(optimistic_scale=0.0)
     with pytest.raises(ValueError):
         sb.GeneratorSpec(shrink_factor=1.0)
+    for field in ("arm_count", "base_model_count", "hard_model_count", "seed"):
+        for value in (4.0, True, "4"):
+            with pytest.raises(TypeError, match=field):
+                sb.GeneratorSpec(**{field: value})
 
 
 def test_save_load_round_trip(tmp_path):
