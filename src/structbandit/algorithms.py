@@ -23,6 +23,10 @@ out the block's rewards from the current draw chunk, the agent folds them
 into its counts at once, and the regret is folded left to right with
 ``np.add.accumulate``, so every output keeps the bits of the step-by-step
 path.  The scalar ``select``/``observe`` path stays the public interface.
+
+UCB1's arm choice depends on every reward, so it has no forced blocks;
+instead ``simulate_ucb1`` steps the R runs of a batch together on R x K
+arrays, with the bits of R ``simulate`` calls.
 """
 
 from __future__ import annotations
@@ -535,25 +539,29 @@ class SucbAgent(_Agent):
 
 
 class Ucb1Agent(_Agent):
-    """Plain UCB1 over arm indices; never sees the model set."""
+    """Plain UCB1 over arm indices; never sees the model set.
+
+    Each arm is played once, in index order; from then on step t plays the
+    first arm with the largest index S/N + sqrt(alpha*log(t)/N).  Batches
+    run it through ``simulate_ucb1``; this scalar path is that kernel's
+    oracle.
+    """
 
     def __init__(self, arm_count: int, config: AgentConfig) -> None:
         super().__init__(arm_count, config, None)
         if arm_count < 1:
             raise ValueError("ucb1 requires at least one arm")
-        self._pull_arr = np.zeros(arm_count, dtype=np.float64)
-        self._sum_arr = np.zeros(arm_count, dtype=np.float64)
 
     def _choose(self) -> int:
         if self._step < self.arm_count:
             return self._step
-        t = self._step + 1
-        bonus = np.sqrt(self.config.alpha * math.log(t) / self._pull_arr)
-        return int(np.argmax(self._sum_arr / self._pull_arr + bonus))
-
-    def _after_observe(self, arm: int) -> None:
-        self._pull_arr[arm] += 1.0
-        self._sum_arr[arm] = self._rewards[arm]
+        c = self.config.alpha * math.log(self._step + 1)
+        best, best_index = 0, -math.inf
+        for arm, (total, count) in enumerate(zip(self._rewards, self._pulls)):
+            index = total / count + math.sqrt(c / count)
+            if index > best_index:
+                best, best_index = arm, index
+        return best
 
 
 def make_agent(structure: Structure, config: AgentConfig) -> _Agent:
@@ -631,7 +639,9 @@ class RunResult:
 
     elapsed and actions are excluded from equality so that identical seeded
     runs compare equal regardless of scheduling; actions holds the per-step
-    arm log and is only filled in audit mode.
+    arm log and is only filled in audit mode.  elapsed is the wall time of
+    the run's step loop; runs stepped together by ``simulate_ucb1`` each get
+    an equal share of their block's loop time.
     """
 
     algorithm: str
@@ -644,6 +654,20 @@ class RunResult:
 
     def final_regret(self) -> float:
         return self.regret[-1]
+
+
+def _checkpoint_list(horizon: int, checkpoints) -> list[int]:
+    """Checked checkpoints of a run; the default is the single final step."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if checkpoints is None:
+        checkpoints = (horizon,)
+    cps = [int(c) for c in checkpoints]
+    if any(b < a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be sorted")
+    if cps and (cps[0] < 1 or cps[-1] > horizon):
+        raise ValueError("checkpoints must lie in [1, horizon]")
+    return cps
 
 
 def simulate(agent, environment: Environment, horizon: int,
@@ -661,15 +685,7 @@ def simulate(agent, environment: Environment, horizon: int,
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if checkpoints is None:
-        checkpoints = (horizon,)
-    cps = [int(c) for c in checkpoints]
-    if any(b < a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be sorted")
-    if cps and (cps[0] < 1 or cps[-1] > horizon):
-        raise ValueError("checkpoints must lie in [1, horizon]")
+    cps = _checkpoint_list(horizon, checkpoints)
     gaps = true_gaps(environment.structure)
     next_block = getattr(agent, "_next_block", None)
     start = time.perf_counter()
@@ -719,3 +735,81 @@ def simulate(agent, environment: Environment, horizon: int,
         elapsed=time.perf_counter() - start,
         actions=None if actions is None else tuple(actions),
     )
+
+
+def simulate_ucb1(structures, config: AgentConfig, horizon: int, checkpoints,
+                  seeds) -> tuple[RunResult, ...]:
+    """Run UCB1 on each (structures[r], seeds[r]) pair, all runs in lockstep.
+
+    Result r equals ``simulate(Ucb1Agent(K, config), Environment(structures[r],
+    seeds[r]), horizon, checkpoints)``.  The state is R x K float64 pull
+    counts and reward sums.  Every run takes one draw per step, so the R
+    environments refill on the same step and their chunks are stacked,
+    each Philox stream unchanged.  Indices are computed elementwise in the
+    scalar order, S/N + sqrt(c/N) with c = alpha*log(t) a Python float, and
+    the first largest wins, so every output keeps the scalar bits.
+    """
+    if config.algorithm != "ucb1":
+        raise ValueError(f"simulate_ucb1 runs ucb1, got {config.algorithm!r}")
+    if not seeds or len(structures) != len(seeds):
+        raise ValueError(f"need one structure per seed, got {len(structures)} and {len(seeds)}")
+    arm_count = structures[0].arm_count
+    if any(s.arm_count != arm_count for s in structures):
+        raise ValueError("structures of one block must have the same arm count")
+    cps = _checkpoint_list(horizon, checkpoints)
+    envs = [Environment(s, seed) for s, seed in zip(structures, seeds)]
+    gaussian = envs[0].reward.kind == "gaussian"
+    if any((env.reward.kind == "gaussian") != gaussian for env in envs):
+        raise ValueError("structures of one block must have the same reward kind")
+    runs = len(envs)
+    # flat index row * K + arm addresses each run's entry of an R x K array
+    means = np.array([env._means for env in envs], dtype=np.float64).ravel()
+    gaps = np.array([true_gaps(s) for s in structures], dtype=np.float64).ravel()
+    sigma = np.array([env._sigma for env in envs])
+    rows = np.arange(runs) * arm_count
+    pulls = np.zeros((runs, arm_count))
+    sums = np.zeros((runs, arm_count))
+    pulls_flat, sums_flat = pulls.reshape(-1), sums.reshape(-1)
+    regret = np.zeros(runs)
+    marks, at_mark = set(cps), {}
+    start = time.perf_counter()
+    for t in range(1, horizon + 1):
+        j = (t - 1) % _DRAW_CHUNK
+        if j == 0:
+            for env in envs:
+                env._refill()
+            draws = np.stack([env._buf for env in envs], axis=1)
+            if gaussian:
+                # a reward is means[arm] + sigma * draw, finite where this is
+                draws = draws * sigma
+                ok = np.isfinite(draws[:horizon - t + 1])
+                if not ok.all():
+                    step, row = np.unravel_index(np.argmin(ok), ok.shape)
+                    raise ValueError(f"reward must be finite, got {float(draws[step, row])} "
+                                     f"in the run with seed {seeds[row]}")
+        if t <= arm_count:
+            flat = rows + (t - 1)
+        else:
+            c = config.alpha * math.log(t)
+            flat = (sums / pulls + np.sqrt(c / pulls)).argmax(axis=1) + rows
+        mu = means[flat]
+        # Bernoulli rewards are 0/1 by construction, as Environment.pull
+        # gives them
+        reward = mu + draws[j] if gaussian else draws[j] < mu
+        pulls_flat[flat] += 1.0
+        sums_flat[flat] += reward
+        regret += gaps[flat]
+        if t in marks:
+            at_mark[t] = regret.tolist()
+    elapsed = (time.perf_counter() - start) / runs
+    counts = pulls.astype(np.int64).tolist()
+    return tuple(
+        RunResult(
+            algorithm=config.algorithm,
+            checkpoints=tuple(cps),
+            regret=tuple(at_mark[c][r] for c in cps),
+            pull_counts=tuple(counts[r]),
+            seed=seeds[r],
+            elapsed=elapsed,
+        )
+        for r in range(runs))

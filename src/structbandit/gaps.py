@@ -33,6 +33,8 @@ class RewardSpec:
     def __post_init__(self) -> None:
         if self.kind not in _REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}; expected one of {_REWARD_KINDS}")
+        if not math.isfinite(self.variance):
+            raise ValueError(f"reward variance must be finite, got {self.variance}")
         if self.kind == "gaussian" and not self.variance > 0:
             raise ValueError(f"gaussian reward needs variance > 0, got {self.variance}")
 

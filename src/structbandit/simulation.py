@@ -1,6 +1,7 @@
 """Seeded batch experiments with Student-t aggregation.
 
-Runs are the unit of parallelism: run r of algorithm `a` always uses the
+Runs are the unit of parallelism, except that all UCB1 runs of a batch
+step together in one lockstep task: run r of algorithm `a` always uses the
 seed sha256(base_seed:a:r), so raw results are identical for any worker
 count or algorithm ordering.  Aggregation is a deterministic fold in
 run-index order.  Output CSVs hold regret trajectories and per-arm pull
@@ -21,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import AgentConfig, Environment, RunResult, make_agent, simulate
+from .algorithms import (AgentConfig, Environment, RunResult, make_agent, simulate,
+                         simulate_ucb1)
 from .gaps import Structure
 from .structures import GeneratorSpec, generate_random
 
@@ -203,15 +205,20 @@ def t_interval(samples, level: float = 0.95) -> tuple[float, float]:
     return mean, quantile * math.sqrt(variance / count)
 
 
-def _run_task(structure: Structure, agent_config: AgentConfig, horizon: int,
-              checkpoints: tuple[int, ...], seed: int) -> RunResult:
+def _run_task(structures: tuple[Structure, ...], agent_config: AgentConfig, horizon: int,
+              checkpoints: tuple[int, ...], seeds: tuple[int, ...]) -> tuple[RunResult, ...]:
+    """Runs (structures[i], seeds[i]) of one agent: UCB1's all together in
+    its lockstep kernel, any other agent's (one per task) on simulate."""
     try:
+        if agent_config.algorithm == "ucb1":
+            return simulate_ucb1(structures, agent_config, horizon, checkpoints, seeds)
+        (structure,), (seed,) = structures, seeds
         agent = make_agent(structure, agent_config)
-        env = Environment(structure, seed)
-        return simulate(agent, env, horizon, checkpoints)
+        return (simulate(agent, Environment(structure, seed), horizon, checkpoints),)
     except Exception as exc:
-        raise RuntimeError(
-            f"run failed for algorithm={agent_config.algorithm!r} seed={seed}: {exc}") from exc
+        block = f" (first of {len(seeds)} lockstep runs)" if len(seeds) > 1 else ""
+        raise RuntimeError(f"run failed for algorithm={agent_config.algorithm!r} "
+                           f"seed={seeds[0]}{block}: {exc}") from exc
 
 
 def _aggregate(algorithm: str, runs: tuple[RunResult, ...],
@@ -237,7 +244,11 @@ def _aggregate(algorithm: str, runs: tuple[RunResult, ...],
 def _run_and_aggregate(config: ExperimentConfig, structures: list[Structure],
                        workers: int) -> BatchResult:
     """Run every (algorithm, run) pair, run r on structures[r], and fold each
-    algorithm's runs in run-index order."""
+    algorithm's runs in run-index order.
+
+    A task is one run, except for UCB1, whose runs all go in one task to
+    its lockstep kernel.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     checkpoints = config.resolved_checkpoints()
@@ -245,15 +256,25 @@ def _run_and_aggregate(config: ExperimentConfig, structures: list[Structure],
     for agent_config in config.agents:
         if agent_config.horizon is None:
             agent_config = replace(agent_config, horizon=config.horizon)
+        seeds = tuple(stream_seed(config.base_seed, agent_config.algorithm, run)
+                      for run in range(config.runs))
+        if agent_config.algorithm == "ucb1":
+            # UCB1 never sees the model set, so its task carries only each
+            # run's true model and reward: a worker holding all R runs at
+            # once then needs little more memory than one holding one run
+            blind = tuple(Structure((s.true_model,), 0, s.reward) for s in structures)
+            tasks.append((blind, agent_config, config.horizon, checkpoints, seeds))
+            continue
         for run in range(config.runs):
-            seed = stream_seed(config.base_seed, agent_config.algorithm, run)
-            tasks.append((structures[run], agent_config, config.horizon, checkpoints, seed))
+            tasks.append(((structures[run],), agent_config, config.horizon, checkpoints,
+                          seeds[run:run + 1]))
     if workers == 1:
-        results = [_run_task(*task) for task in tasks]
+        blocks = [_run_task(*task) for task in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, *zip(*tasks), chunksize=chunk))
+            blocks = list(pool.map(_run_task, *zip(*tasks), chunksize=chunk))
+    results = [result for block in blocks for result in block]
     runs: dict[str, tuple[RunResult, ...]] = {}
     aggregates: dict[str, AggregateResult] = {}
     for index, agent_config in enumerate(config.agents):

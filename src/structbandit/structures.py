@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,9 +271,20 @@ def load_structure(path) -> Structure:
     if not isinstance(raw_reward, dict) or "kind" not in raw_reward:
         raise ValueError(f"{path}: 'reward' must be an object with a 'kind' field")
     params = raw_reward.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}: reward.params must be an object, got {params!r}")
+    extra = sorted(set(params) - ({"variance"} if raw_reward["kind"] == "gaussian" else set()))
+    if extra:
+        raise ValueError(f"{path}: unknown reward.params {extra} for kind {raw_reward['kind']!r}")
     try:
         if raw_reward["kind"] == "gaussian":
-            reward = RewardSpec("gaussian", float(params.get("variance", 1.0)))
+            variance = params.get("variance", 1.0)
+            # json reads 1e400 as inf; ints compare exactly, so a huge one fails too
+            if (not isinstance(variance, (int, float)) or isinstance(variance, bool)
+                    or not abs(variance) <= sys.float_info.max):
+                raise ValueError(
+                    f"reward.params.variance must be a finite number, got {variance!r}")
+            reward = RewardSpec("gaussian", float(variance))
         else:
             reward = RewardSpec(raw_reward["kind"])
     except ValueError as exc:

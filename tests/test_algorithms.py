@@ -354,10 +354,8 @@ def test_ucb1_bonus_magnitude():
     agent = sb.Ucb1Agent(2, sb.AgentConfig("ucb1", alpha=2.0))
     agent._step = 9_999
     agent._pulls = [74, 9_925]
-    agent._pull_arr = np.array([74.0, 9_925.0])
     for mean1, expected in ((0.49, 1), (0.44, 0)):
         agent._rewards = [0.0, mean1 * 9_925]
-        agent._sum_arr = np.array(agent._rewards)
         assert agent._choose() == expected
 
 

@@ -54,6 +54,21 @@ def test_run_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_variance(tmp_path, capsys):
+    structure = tmp_path / "g.json"
+    gaussian = sb.Structure(models=sb.build_figure_right().models, true_index=0,
+                            reward=sb.RewardSpec("gaussian", 0.25))
+    sb.save_structure(gaussian, structure)
+    text = structure.read_text()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"horizon": 20, "runs": 2, "structure": str(structure),
+                                  "agents": [{"algorithm": "ucb1"}]}))
+    for raw in ("Infinity", "1e400", '"2"', "true"):
+        structure.write_text(text.replace('"variance": 0.25', f'"variance": {raw}'))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2, raw
+        assert "reward.params.variance" in capsys.readouterr().err
+
+
 def test_run_config_validation(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"structure": {"builder": "figure_right"},

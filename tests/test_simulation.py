@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 import scipy.special
@@ -9,6 +10,7 @@ import scipy.stats
 
 import structbandit as sb
 from helpers import mk
+from structbandit.algorithms import simulate_ucb1
 
 # published two-sided 97.5% quantiles
 T_TABLE = {1: 12.706, 10: 2.2281, 99: 1.9842}
@@ -193,6 +195,90 @@ def test_run_randomized_batch():
     # per-run structures really differ: seed 'structure:r' drives them
     spec_seeds = {sb.stream_seed(5, "structure", r) for r in range(3)}
     assert len(spec_seeds) == 3
+
+
+def scalar_ucb1(structures, config, horizon, checkpoints, seeds):
+    """The lockstep kernel's oracle: one simulate call per run."""
+    return tuple(
+        sb.simulate(sb.Ucb1Agent(s.arm_count, config), sb.Environment(s, seed),
+                    horizon, checkpoints)
+        for s, seed in zip(structures, seeds))
+
+
+@pytest.mark.parametrize("case", [
+    "left", "right-gaussian", "past-refill", "below-arms", "small-alpha", "last-bit-tie"])
+def test_ucb1_lockstep_matches_scalar_runs(case, fig_right):
+    fig_left = sb.build_figure_left()
+    gaussian = replace(fig_right, reward=sb.RewardSpec("gaussian", 0.25))
+    # deterministic 0/1 rewards; at this alpha two indices tie to the last
+    # bit at step 34, so only c/N (not c * (1/N)) reproduces the scalar arm
+    tie = mk([[1.0, 0.0]], 0)
+    structure, alpha, horizon, checkpoints = {
+        "left": (fig_left, 2.0, 2000, (1, 2, 3, 4, 500, 2000)),
+        "right-gaussian": (gaussian, 2.0, 3000, (1, 5, 3000)),
+        # the first draw chunk holds 8192 draws per run
+        "past-refill": (gaussian, 2.0, 9000, (8192, 8193, 9000)),
+        "below-arms": (fig_right, 2.0, 3, (1, 2, 3)),
+        "small-alpha": (gaussian, 0.05, 9000, (1, 100, 9000)),
+        "last-bit-tie": (tie, 1.819581953037409, 40, tuple(range(1, 41))),
+    }[case]
+    config = sb.AgentConfig("ucb1", alpha=alpha)
+    seeds = tuple(sb.stream_seed(3, "ucb1", r) for r in range(3))
+    structures = (structure,) * 3
+    lockstep = simulate_ucb1(structures, config, horizon, checkpoints, seeds)
+    assert lockstep == scalar_ucb1(structures, config, horizon, checkpoints, seeds)
+    assert [r.seed for r in lockstep] == list(seeds)
+
+
+def test_ucb1_lockstep_fresh_structures_and_workers(fig_right):
+    spec = sb.GeneratorSpec(arm_count=6, base_model_count=8, hard_model_count=3, seed=0)
+    agents = (sb.AgentConfig("sae"), sb.AgentConfig("ucb1", alpha=2.0))
+    batch = sb.run_randomized_batch(spec, agents, horizon=400, runs=3, base_seed=5,
+                                    checkpoints=(1, 200, 400))
+    structures = [sb.generate_random(replace(spec, seed=sb.stream_seed(5, "structure", r)))
+                  for r in range(3)]
+    assert len({s.models for s in structures}) == 3
+    seeds = [sb.stream_seed(5, "ucb1", r) for r in range(3)]
+    assert batch.runs["ucb1"] == scalar_ucb1(
+        structures, sb.AgentConfig("ucb1", alpha=2.0), 400, (1, 200, 400), seeds)
+
+    config = sb.ExperimentConfig(structure=fig_right, agents=agents, horizon=300, runs=3,
+                                 base_seed=2, checkpoints=(1, 300))
+    serial = sb.run_batch(config)
+    parallel = sb.run_batch(config, workers=2)
+    assert parallel.runs == serial.runs
+    assert parallel.aggregates == serial.aggregates
+
+
+def test_ucb1_lockstep_failure_names_run(fig_right):
+    # RewardSpec rejects an infinite variance, so set one past its check
+    reward = sb.RewardSpec("gaussian", 1.0)
+    object.__setattr__(reward, "variance", math.inf)
+    broken = replace(fig_right, reward=reward)
+    seeds = (11, 12)
+    with pytest.raises(ValueError, match="reward must be finite, got (inf|nan)"):
+        scalar_ucb1((broken,), sb.AgentConfig("ucb1"), 10, None, seeds[:1])
+    with pytest.raises(ValueError, match="reward must be finite, got (inf|nan)"):
+        simulate_ucb1((broken, broken), sb.AgentConfig("ucb1"), 10, None, seeds)
+    config = sb.ExperimentConfig(structure=broken, agents=(sb.AgentConfig("ucb1"),),
+                                 horizon=10, runs=2, checkpoints=(10,))
+    with pytest.raises(RuntimeError, match=r"algorithm='ucb1' seed=\d+.*reward must be finite"):
+        sb.run_batch(config)
+
+
+def test_ucb1_lockstep_contracts(fig_right):
+    config = sb.AgentConfig("ucb1")
+    with pytest.raises(ValueError, match="ucb1"):
+        simulate_ucb1((fig_right,), sb.AgentConfig("sucb"), 10, None, (1,))
+    with pytest.raises(ValueError, match="one structure per seed"):
+        simulate_ucb1((fig_right,), config, 10, None, (1, 2))
+    with pytest.raises(ValueError, match="arm count"):
+        simulate_ucb1((fig_right, sb.build_figure_left()), config, 10, None, (1, 2))
+    gaussian = replace(fig_right, reward=sb.RewardSpec("gaussian", 0.25))
+    with pytest.raises(ValueError, match="reward kind"):
+        simulate_ucb1((fig_right, gaussian), config, 10, None, (1, 2))
+    with pytest.raises(ValueError, match="checkpoints"):
+        simulate_ucb1((fig_right,), config, 10, (5, 3), (1,))
 
 
 def test_write_batch_files(tmp_path, small_batch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -149,6 +150,34 @@ def test_load_validation_messages(tmp_path):
     path = write({"arm_count": 2, "true_index": 5, "models": [[0.5, 0.2]]})
     with pytest.raises(ValueError):
         sb.load_structure(path)
+
+
+def test_load_rejects_bad_reward_params(tmp_path):
+    path = tmp_path / "g.json"
+    sb.save_structure(mk([[0.5, 0.25]], 0, reward=sb.RewardSpec("gaussian", 0.5)), path)
+    text = path.read_text()
+    assert '"variance": 0.5' in text
+    for raw in ("Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400, '"2"', "true", "null"):
+        path.write_text(text.replace('"variance": 0.5', f'"variance": {raw}'))
+        with pytest.raises(ValueError, match=r"reward\.params\.variance must be a finite number"):
+            sb.load_structure(path)
+    for raw in ("[]", '"x"', "null"):
+        path.write_text(re.sub(r'"params": \{[^}]*\}', f'"params": {raw}', text))
+        with pytest.raises(ValueError, match=r"reward\.params must be an object"):
+            sb.load_structure(path)
+    # a misspelt key must not leave the default variance in place
+    path.write_text(text.replace('"variance": 0.5', '"varaince": 0.5'))
+    with pytest.raises(ValueError, match=r"unknown reward\.params \['varaince'\]"):
+        sb.load_structure(path)
+    path.write_text(text.replace('"gaussian"', '"bernoulli"'))
+    with pytest.raises(ValueError, match=r"unknown reward\.params \['variance'\]"):
+        sb.load_structure(path)
+    path.write_text(text.replace('"variance": 0.5', '"variance": 2'))
+    assert sb.load_structure(path).reward == sb.RewardSpec("gaussian", 2.0)
+    for variance in (math.inf, -math.inf, math.nan):
+        for kind in ("gaussian", "bernoulli"):
+            with pytest.raises(ValueError, match="finite"):
+                sb.RewardSpec(kind, variance)
 
 
 def test_saved_means_survive_exactly(tmp_path):
