@@ -14,19 +14,23 @@ Four agents behind one select/observe interface:
 ``Environment`` draws rewards for the true model; ``simulate`` runs one agent
 against one environment and records pseudo-regret at checkpoints.
 
-Once an eliminator has settled (one active arm left, or the empty-set
-fallback) no reward can change its arm until the period ends (ASAE) or
-ever (SAE).  Before each stretch of steps ``simulate`` asks it for such a
-forced block, or for the number of round-robin steps before one could
-start, and consumes a block in one vector step: ``Environment.take`` hands
-out the block's rewards from the current draw chunk, the agent folds them
-into its counts at once, and the regret is folded left to right with
-``np.add.accumulate``, so every output keeps the bits of the step-by-step
-path.  The scalar ``select``/``observe`` path stays the public interface.
+Between phase and period boundaries no reward changes an eliminator's arm:
+it plays a round robin fixed by its counts and phase target, or one settled
+arm (the lone active arm, or the empty-set fallback).  ``simulate`` takes
+every eliminator step in such blocks, at most one draw chunk at a time:
+``Environment.take`` hands out the block's rewards from the current chunk,
+the agent folds them into its counts at once, and the regret is folded left
+to right with ``np.add.accumulate``, so every output keeps the bits of the
+step-by-step path.  SUCB's arm changes only with its confidence set, so
+after each of its select/observe steps it plays that arm on while a
+per-step check proves that a select would change nothing, reading the
+rewards from the chunk; ``simulate`` folds those steps like a block.  The
+scalar ``select``/``observe`` path stays the public interface and the
+tests' oracle.
 
-UCB1's arm choice depends on every reward, so it has no forced blocks;
-instead ``simulate_ucb1`` steps the R runs of a batch together on R x K
-arrays, with the bits of R ``simulate`` calls.
+UCB1's arm choice depends on every reward, so it has no blocks; instead
+``simulate_ucb1`` steps the R runs of a batch together on R x K arrays,
+with the bits of R ``simulate`` calls.
 """
 
 from __future__ import annotations
@@ -172,6 +176,11 @@ class _Agent:
         return ()
 
 
+def _fold(total: float, values: np.ndarray) -> float:
+    """total + values[0] + values[1] + ..., added strictly left to right."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
+
+
 def _empirical_best(pulls: list[int], rewards: list[float]) -> int:
     """Best empirical-mean arm among pulled ones, lowest index on ties."""
     best, best_mean = -1, -math.inf
@@ -263,49 +272,72 @@ class _EliminationAgent(_Agent):
                 return arm
         raise RuntimeError("all active arms met the phase target; boundary was not processed")
 
-    def _next_block(self) -> tuple[int | None, float]:
-        """(arm, steps): how the next `steps` steps go, up to the next point
-        where a reward can change the arm choice.
+    def _next_block(self, limit: int) -> tuple[int | np.ndarray, int]:
+        """(arms, steps): the next `steps` steps, at most `limit`, up to the
+        next point where a reward can change the arm choice.
 
-        A forced block has arm set: the fallback or the lone active arm,
-        played whatever the rewards until the period ends (for SAE, for
-        ever).  Otherwise arm is None and the steps are round-robin steps,
-        the pulls still missing to the phase target (fewer at a period end),
-        taken one select/observe at a time.  With a select still awaiting
-        its observe it is one such step, whose select raises.
+        A settled agent plays one arm, the fallback or the lone active arm,
+        whatever the rewards.  Otherwise arms is the array of the round
+        robin to the phase end, which no reward changes either: pass j
+        visits, in cyclic order from _rr_pos, every active arm still more
+        than j pulls below the target.  Both are capped at the period end
+        (SAE's never comes).
         """
         if self._pending is not None:
-            return None, 1
-        arm, steps = self._fallback, math.inf
-        if arm is None and len(self._active_arms) == 1:
-            arm = self._active_arms[0]
-        elif arm is None:
-            steps = sum(max(self._target - self._pulls[a], 0) for a in self._active_arms)
+            raise RuntimeError("select called again before observe")
         if self._periods_close:
-            steps = min(steps, self._period_horizon - self._step)
-        return arm, steps
+            limit = min(limit, self._period_horizon - self._step)
+        arms, arm = self._active_arms, self._fallback
+        if arm is None and len(arms) == 1:
+            arm = arms[0]
+        if arm is not None:
+            return arm, limit
+        order = arms[self._rr_pos:] + arms[:self._rr_pos]
+        need = [self._target - self._pulls[a] for a in order]
+        passes, done, n = [], 0, 0
+        while n < limit:
+            live = [a for a, d in zip(order, need) if d > done]
+            if not live:
+                break
+            # the passes until the next live arm meets its target repeat `live`
+            reps = min(min(d for d in need if d > done) - done, -((n - limit) // len(live)))
+            passes.append(np.tile(live, reps))
+            done += reps
+            n += reps * len(live)
+        sequence = np.concatenate(passes)[:limit]
+        return sequence, len(sequence)
 
-    def _observe_block(self, arm: int, rewards: np.ndarray) -> None:
-        """Observe len(rewards) pulls of a forced block's arm at once.
+    def _observe_block(self, arms: int | np.ndarray, rewards: np.ndarray) -> None:
+        """Observe a block from _next_block at once, with its rewards.
 
-        Leaves the state that as many observe calls leave: the same reward
-        checks, counts and reward sum, then the boundary work of the last
-        step (inside a forced block no earlier step has any).
+        Leaves the state that as many select/observe calls leave: the same
+        reward checks, counts, reward sums and round-robin position, then
+        the boundary work of the last step (inside a block no earlier step
+        has any).  Sums of 0/1 rewards are integers, exact in any order;
+        other sums are folded per arm left to right.
         """
         bernoulli = self._reward.kind == "bernoulli"
         ok = (rewards == 0.0) | (rewards == 1.0) if bernoulli else np.isfinite(rewards)
         if not ok.all():
             self._check_reward(float(rewards[np.argmin(ok)]))
-        k = len(rewards)
-        self._pulls[arm] += k
-        if bernoulli:
-            # sums of 0/1 rewards are integers, exact in any order
-            self._rewards[arm] += float(np.count_nonzero(rewards))
+        if np.ndim(arms):
+            last = int(arms[-1])
+            self._rr_pos = (self._active_arms.index(last) + 1) % len(self._active_arms)
+            counts = np.bincount(arms, minlength=self.arm_count).tolist()
+            if bernoulli:
+                ones = np.bincount(arms, weights=rewards, minlength=self.arm_count).tolist()
+            for a, count in enumerate(counts):
+                if count:
+                    self._pulls[a] += count
+                    self._rewards[a] = (self._rewards[a] + ones[a] if bernoulli
+                                        else _fold(self._rewards[a], rewards[arms == a]))
         else:
-            folded = np.add.accumulate(np.concatenate(([self._rewards[arm]], rewards)))
-            self._rewards[arm] = float(folded[-1])
-        self._step += k
-        self._after_observe(arm)
+            last = arms
+            self._pulls[arms] += len(rewards)
+            self._rewards[arms] = (self._rewards[arms] + float(np.count_nonzero(rewards))
+                                   if bernoulli else _fold(self._rewards[arms], rewards))
+        self._step += len(rewards)
+        self._after_observe(last)
 
     def _after_observe(self, arm: int) -> None:
         self._catch_up()
@@ -421,7 +453,9 @@ class SucbAgent(_Agent):
     coeff*log(t) at which that happens), and counts for each model the
     pulled arms whose run excludes it; the active models are those with
     count zero.  The optimistic arm is recomputed only when that set
-    changes.
+    changes.  ``simulate`` follows each select/observe with a stretch
+    (``_stretch``) of further pulls of the same arm, taken one check per
+    step while no refit could move a run.
     """
 
     def __init__(self, structure: Structure, config: AgentConfig) -> None:
@@ -468,6 +502,56 @@ class SucbAgent(_Agent):
 
     def _after_observe(self, arm: int) -> None:
         self._observed = arm
+
+    def _stretch(self, env: Environment, limit: int) -> int:
+        """After a select/observe of arm a, take up to `limit` more steps of a
+        while a select would return a and change nothing but a's wake
+        scale; returns the number taken.  Their rewards come from env's
+        current draw chunk, which must hold `limit` unread draws.
+
+        Step s qualifies when no other arm wakes at coeff*log(s) and, with
+        the mean and count after step s-1, a's refit keeps [lo, hi): the
+        run's end models pass and its outer neighbours fail.  The passing
+        models being contiguous, that is exactly the refit's outcome.  A
+        reward observe would reject ends the stretch, so the next select/
+        observe raises observe's error.
+        """
+        arm = self._observed
+        lo, hi = self._lo[arm], self._hi[arm]
+        if not self._active or lo >= hi:
+            return 0
+        draws, start = env.draw_list(), env._pos
+        column = self._column[arm]
+        inner_lo, inner_hi = column[lo], column[hi - 1]
+        # an absent neighbour never passes: inf * inf < rad2 is false
+        outer_lo = column[lo - 1] if lo > 0 else math.inf
+        outer_hi = column[hi] if hi < len(column) else math.inf
+        wake = min(self._wake[:arm] + self._wake[arm + 1:], default=math.inf)
+        binary = self._reward.kind == "bernoulli"
+        mu, sigma, draw_binary = env._means[arm], env._sigma, env.reward.kind == "bernoulli"
+        coeff, count, total, step = self._coeff, self._pulls[arm], self._rewards[arm], self._step
+        n = 0
+        while n < limit:
+            # step >= 1 here, so log(step + 1) is the scalar log(max(t, 2))
+            scaled = coeff * math.log(step + 1)
+            mean = total / count
+            rad2 = scaled / count
+            a, b, c, d = inner_lo - mean, inner_hi - mean, outer_lo - mean, outer_hi - mean
+            if not (scaled < wake and a * a < rad2 and b * b < rad2
+                    and not c * c < rad2 and not d * d < rad2):
+                break
+            # the reward pull gives, with observe's check
+            draw = draws[start + n]
+            reward = (1.0 if draw < mu else 0.0) if draw_binary else mu + sigma * draw
+            if not ((reward == 0.0 or reward == 1.0) if binary else math.isfinite(reward)):
+                break
+            total += reward
+            count += 1
+            step += 1
+            n += 1
+        self._pulls[arm], self._rewards[arm], self._step = count, total, step
+        env._pos += n
+        return n
 
     def _refit(self, arm: int, scaled: float) -> None:
         """Move arm's run to the models passing it at log-radius scale `scaled`.
@@ -592,9 +676,11 @@ class Environment:
         if self.reward.kind == "gaussian" and not self.reward.variance > 0.0:
             raise ValueError("gaussian reward requires variance > 0")
         self._means = structure.true_model.means
+        self._mean_array = np.array(self._means, dtype=np.float64)
         self._sigma = math.sqrt(self.reward.variance)
         self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self._buf = np.empty(0)
+        self._list: list[float] | None = None
         self._pos = 0
 
     @property
@@ -606,6 +692,7 @@ class Environment:
             self._buf = self._rng.random(_DRAW_CHUNK)
         else:
             self._buf = self._rng.standard_normal(_DRAW_CHUNK)
+        self._list = None
         self._pos = 0
 
     def pull(self, arm: int) -> float:
@@ -617,20 +704,27 @@ class Environment:
             return 1.0 if draw < self._means[arm] else 0.0
         return float(self._means[arm] + self._sigma * draw)
 
-    def take(self, arm: int, k: int) -> np.ndarray:
-        """Rewards of up to k pulls of one arm, as k pull calls give them.
-
-        Hands out at most the rest of the current draw chunk, and for k >= 1
-        at least one reward; it refills where pull would, so the stream is
-        unchanged.
-        """
+    def room(self) -> int:
+        """Draws left in the current chunk, refilled first where pull would."""
         if self._pos == len(self._buf):
             self._refill()
+        return len(self._buf) - self._pos
+
+    def take(self, arms: int | np.ndarray, k: int) -> np.ndarray:
+        """Rewards of the next k <= room() pulls, of one arm or of arms[i]
+        at the i-th, as pull calls give them."""
         draws = self._buf[self._pos:self._pos + k]
-        self._pos += len(draws)
+        self._pos += k
+        means = self._mean_array[arms]
         if self.reward.kind == "bernoulli":
-            return (draws < self._means[arm]).astype(np.float64)
-        return self._means[arm] + self._sigma * draws
+            return (draws < means).astype(np.float64)
+        return means + self._sigma * draws
+
+    def draw_list(self) -> list[float]:
+        """The current draw chunk as a list; the draws from _pos on are unread."""
+        if self._list is None:
+            self._list = self._buf.tolist()
+        return self._list
 
 
 @dataclass(frozen=True)
@@ -679,15 +773,18 @@ def simulate(agent, environment: Environment, horizon: int,
     within the horizon; the default is the single final step.  audit keeps
     the full per-step arm log (small horizons only).
 
-    An eliminator's forced blocks (see the module docstring) are consumed
-    in one vector step each, at most one draw chunk at a time; every other
-    step is one select/observe.
+    An eliminator takes every step in blocks (see the module docstring),
+    at most one draw chunk at a time; SUCB takes each select/observe step
+    with the stretch that follows it; UCB1 takes one select/observe per
+    step.
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
     cps = _checkpoint_list(horizon, checkpoints)
     gaps = true_gaps(environment.structure)
+    gap_array = np.array(gaps)
     next_block = getattr(agent, "_next_block", None)
+    stretch = getattr(agent, "_stretch", None)
     start = time.perf_counter()
     regret = 0.0
     out = []
@@ -695,32 +792,34 @@ def simulate(agent, environment: Environment, horizon: int,
     pos = 0
     t = 0
     while t < horizon:
-        # agents without the hook take every step through select/observe
-        arm, steps = (None, horizon) if next_block is None else next_block()
-        stop = min(t + steps, horizon)
-        if arm is None:
-            for t in range(t + 1, stop + 1):
-                arm = agent.select()
-                reward = environment.pull(arm)
-                agent.observe(arm, reward)
-                regret += gaps[arm]
-                if actions is not None:
-                    actions.append(arm)
-                while pos < len(cps) and cps[pos] == t:
-                    out.append(regret)
-                    pos += 1
-            continue
-        rewards = environment.take(arm, stop - t)
-        k = len(rewards)
-        agent._observe_block(arm, rewards)
+        if next_block is None:
+            arm = agent.select()
+            agent.observe(arm, environment.pull(arm))
+            t += 1
+            regret += gaps[arm]
+            if actions is not None:
+                actions.append(arm)
+            while pos < len(cps) and cps[pos] == t:
+                out.append(regret)
+                pos += 1
+            if stretch is None or t == horizon:
+                continue
+            k = stretch(environment, min(horizon - t, environment.room()))
+            if not k:
+                continue
+            arms = arm
+        else:
+            arms, k = next_block(min(horizon - t, environment.room()))
+            agent._observe_block(arms, environment.take(arms, k))
         # add.accumulate folds strictly left to right, so each partial sum
         # has the bits of the scalar `regret += gap`; a pairwise sum or
         # k * gap would not
-        increments = np.full(k + 1, gaps[arm])
+        increments = np.empty(k + 1)
         increments[0] = regret
+        increments[1:] = gap_array[arms]
         folded = np.add.accumulate(increments)
         if actions is not None:
-            actions.extend([arm] * k)
+            actions.extend(np.broadcast_to(arms, k).tolist())
         while pos < len(cps) and cps[pos] <= t + k:
             out.append(float(folded[cps[pos] - t]))
             pos += 1

@@ -245,6 +245,9 @@ def load_structure(path) -> Structure:
     for key in ("arm_count", "true_index", "models"):
         if key not in doc:
             raise ValueError(f"{path}: missing required field {key!r}")
+    for key in ("arm_count", "true_index"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise ValueError(f"{path}: {key} must be an integer, got {doc[key]!r}")
     arm_count = doc["arm_count"]
     raw_models = doc["models"]
     if not isinstance(raw_models, list) or not raw_models:

@@ -29,6 +29,25 @@ def run_steps(agent, env, steps):
         agent.observe(arm, env.pull(arm))
 
 
+def scalar_run(structure, config, seed, horizon, watch=None):
+    """The select/pull/observe oracle of simulate: the agent after
+    `horizon` steps, the regret after each step and the arms pulled.
+    watch(agent) runs after each step."""
+    agent = sb.make_agent(structure, config)
+    env = sb.Environment(structure, seed=seed)
+    gaps = sb.true_gaps(structure)
+    regret, regrets, actions = 0.0, [], []
+    for _ in range(horizon):
+        arm = agent.select()
+        agent.observe(arm, env.pull(arm))
+        if watch is not None:
+            watch(agent)
+        regret += gaps[arm]
+        regrets.append(regret)
+        actions.append(arm)
+    return agent, tuple(regrets), tuple(actions)
+
+
 def test_agent_config_validation():
     with pytest.raises(ValueError):
         sb.AgentConfig("thompson")
@@ -296,11 +315,14 @@ def sucb_lockstep(structure, config, seed, steps, rewards=None):
 
 @pytest.mark.parametrize("case", [
     "figure_left", "flat_variant", "figure_right", "figure_right_low_fourth",
-    "random", "gaussian_sigma2", "empty_set_fallback"])
+    "random", "gaussian_sigma2", "empty_set_fallback", "reentry", "wobble"])
 def test_sucb_matches_dense_oracle(case):
     # the incremental confidence set against the dense per-step recompute:
     # figure_left has many tied 0.8 means on arm 1, the small alpha empties
-    # the set so the empirical-best fallback runs
+    # the set so the empirical-best fallback runs, and in reentry a model
+    # dropped on arm 0 returns while arm 1 is played (a wake of arm 0 inside
+    # a stretch of arm 1); in wobble arm 0 is always played and its
+    # neighbours 0.5 and 0.7 leave and re-enter its run as the mean moves
     right = sb.build_figure_right()
     structure, config = {
         "figure_left": (sb.build_figure_left(), sb.AgentConfig("sucb")),
@@ -314,12 +336,39 @@ def test_sucb_matches_dense_oracle(case):
                                          reward=sb.RewardSpec("gaussian", 0.25)),
                             sb.AgentConfig("sucb", alpha=1.0, sigma2=0.25)),
         "empty_set_fallback": (right, sb.AgentConfig("sucb", alpha=0.05)),
+        "reentry": (mk([[0.2, 0.5], [0.9, 0.5]], 0), sb.AgentConfig("sucb", alpha=0.5)),
+        "wobble": (mk([[0.6, 0.1], [0.7, 0.1], [0.5, 0.1]], 0), sb.AgentConfig("sucb", alpha=0.5)),
     }[case]
     for seed in (0, 1):
         sets = sucb_lockstep(structure, config, seed, 2500)
         assert len(set(sets)) > 1  # the set moved
         if case == "empty_set_fallback":
             assert () in sets
+        # simulate's stretches against the plain loop, past the 8192-draw
+        # refill; the state after each stretch must be the loop's after as
+        # many steps, where a missed refit would still show
+        horizon = 9000
+        states = []
+        oracle, regrets, actions = scalar_run(structure, config, seed, horizon,
+                                              lambda oracle: states.append(oracle.snapshot()))
+        agent = sb.SucbAgent(structure, config)
+        ends = []
+
+        def stretch(env, limit, take=agent._stretch):
+            steps = take(env, limit)
+            if steps:
+                ends.append((agent._step, agent.snapshot()))
+            return steps
+
+        agent._stretch = stretch
+        env = sb.Environment(structure, seed=seed)
+        result = sb.simulate(agent, env, horizon, checkpoints=range(1, horizon + 1), audit=True)
+        assert result.regret == regrets
+        assert result.actions == actions
+        assert agent.snapshot() == oracle.snapshot()
+        assert ends  # some steps came in stretches
+        for step, state in ends:
+            assert state == states[step - 1], step
 
 
 def test_sucb_model_reenters_between_pulls():
@@ -423,56 +472,72 @@ def test_simulate_audit_log(fig_right):
     assert again == result  # elapsed/actions excluded from equality
 
 
+BLOCK_STRUCTURES = {
+    "figure_right": (sb.build_figure_right, 30_000),
+    "figure_left": (sb.build_figure_left, 10_000),
+    # 50 arms x 150 models: no run settles within 10^4 steps, so round-robin
+    # blocks cross the 8192-draw refill and ASAE periods end mid-pass
+    "random": (lambda: sb.generate_random(sb.GeneratorSpec(
+        arm_count=50, base_model_count=100, hard_model_count=50, seed=1)), 10_000),
+}
+SAE = sb.AgentConfig("sae", horizon=30_000)
+ASAE_001, ASAE_01, ASAE_1 = (sb.AgentConfig("asae", eta=eta) for eta in (0.01, 0.1, 1.0))
+
+
 @pytest.mark.parametrize("reward", ["bernoulli", "gaussian"])
-@pytest.mark.parametrize("config", [
-    sb.AgentConfig("sae", horizon=30_000),
-    sb.AgentConfig("sae", alpha=0.05, horizon=30_000),
-    sb.AgentConfig("asae", eta=0.01),
-    sb.AgentConfig("asae", eta=1.0)], ids=["sae", "sae_a005", "asae_001", "asae_1"])
-def test_forced_blocks_match_scalar_steps(fig_right, reward, config):
-    # simulate consumes settled eliminators in blocks; a plain select/pull/
-    # observe loop is the oracle.  Every step is a checkpoint, so regret is
-    # compared inside every block, across draw-chunk refills (8192 draws)
-    # and at ASAE period boundaries.
-    structure = fig_right
+@pytest.mark.parametrize("name,config", [
+    ("figure_right", SAE),
+    ("figure_right", sb.AgentConfig("sae", alpha=0.05, horizon=30_000)),
+    ("figure_right", ASAE_001),
+    ("figure_right", ASAE_1),
+    *((name, config) for name in ("figure_left", "random")
+      for config in (SAE, ASAE_001, ASAE_01, ASAE_1))],
+    ids=["sae", "sae_a005", "asae_001", "asae_1",
+         *(f"{name}_{tag}" for name in ("left", "random")
+           for tag in ("sae", "asae_001", "asae_01", "asae_1"))])
+def test_forced_blocks_match_scalar_steps(name, config, reward):
+    # simulate takes every eliminator step in blocks, settled arms and round
+    # robins alike; a plain select/pull/observe loop is the oracle.  Every
+    # step is a checkpoint, so regret is compared inside every block,
+    # across draw-chunk refills (8192 draws) and at ASAE period boundaries.
+    build, horizon = BLOCK_STRUCTURES[name]
+    structure = build()
     if reward == "gaussian":
-        structure = sb.Structure(models=fig_right.models, true_index=0,
+        structure = sb.Structure(models=structure.models, true_index=structure.true_index,
                                  reward=sb.RewardSpec("gaussian", 0.25))
-    horizon = 30_000
     gaps = sb.true_gaps(structure)
     settled_gaps = []
     # at alpha = 0.05, seed 5 ends on a suboptimal fallback arm
     for seed in (0, 5):
-        oracle = sb.make_agent(structure, config)
-        env = sb.Environment(structure, seed=seed)
-        regret, regrets, actions = 0.0, [], []
-        for _ in range(horizon):
-            arm = oracle.select()
-            oracle.observe(arm, env.pull(arm))
-            regret += gaps[arm]
-            regrets.append(regret)
-            actions.append(arm)
+        mid_pass = []
 
+        def watch(oracle):
+            # the next step ends the period inside a round-robin cycle
+            mid_pass.append(oracle._rr_pos != 0
+                            and oracle._step + 1 == oracle._period_horizon)
+
+        oracle, regrets, actions = scalar_run(structure, config, seed, horizon, watch)
         agent = sb.make_agent(structure, config)
         env = sb.Environment(structure, seed=seed)
-        scalar_pulls = []
-        pull = env.pull
-        env.pull = lambda arm: scalar_pulls.append(arm) or pull(arm)
+        env.pull = None  # every step comes in blocks
         result = sb.simulate(agent, env, horizon,
                              checkpoints=range(1, horizon + 1), audit=True)
-        assert len(scalar_pulls) < horizon // 2  # most steps came in blocks
-        assert result.regret == tuple(regrets)
-        assert result.actions == tuple(actions)
+        assert result.regret == regrets
+        assert result.actions == actions
         assert result.pull_counts == oracle.snapshot().pull_counts
         assert agent.snapshot() == oracle.snapshot()
         assert agent.history == oracle.history
         if config.algorithm == "asae":
             assert agent.snapshot().period >= 3
+        if name == "random":
+            assert all(len(record.active_arms) > 1 for record in agent.history)
+            assert any(mid_pass) or config.algorithm == "sae"
         state = agent.snapshot()
         settled = agent.fallback_arm
         if settled is None and len(state.active_arms) == 1:
             settled = state.active_arms[0]
-        settled_gaps.append(gaps[settled])
+        if settled is not None:
+            settled_gaps.append(gaps[settled])
     if config.alpha == 0.05:
         # a nonzero gap in a block: k * gap would not give the sums above
         assert max(settled_gaps) > 0.0
@@ -489,7 +554,23 @@ def test_forced_block_reward_checks():
     structure = mk([[0.8, 0.2], [0.6, 0.3]], 0, reward=gaussian)
     agent = sb.SaeAgent(structure, sb.AgentConfig("sae", horizon=500))
     with pytest.raises(ValueError, match="reward must be finite, got inf"):
-        agent._observe_block(0, np.array([0.5, math.inf]))
+        agent._observe_block(np.array([0, 0]), np.array([0.5, math.inf]))
+    # SUCB plays arm 0 from the first step; 1.0 + 1e-16 * draw is 1.0 for
+    # most draws, so on seeds 0 and 3 the first other reward falls inside
+    # a stretch, and the next select/observe must raise observe's error
+    structure = mk([[1.0, 0.5], [0.9, 0.6]], 0)
+    tiny = sb.RewardSpec("gaussian", 1e-32)
+    for seed, step in ((0, 4), (3, 3)):
+        oracle = sb.SucbAgent(structure, sb.AgentConfig("sucb"))
+        env = sb.Environment(structure, seed=seed, reward=tiny)
+        with pytest.raises(ValueError, match="bernoulli reward must be 0 or 1") as scalar:
+            run_steps(oracle, env, 100)
+        assert sum(oracle.snapshot().pull_counts) == step - 1
+        agent = sb.SucbAgent(structure, sb.AgentConfig("sucb"))
+        with pytest.raises(ValueError) as stretched:
+            sb.simulate(agent, sb.Environment(structure, seed=seed, reward=tiny), 100)
+        assert str(stretched.value) == str(scalar.value)
+        assert agent.snapshot() == oracle.snapshot()
 
 
 def test_environment_reward_streams(fig_right):

@@ -260,6 +260,16 @@ def test_classify_missing_file(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+def test_classify_rejects_bool_true_index(right_structure_file, capsys):
+    # json true used to load model 1 silently
+    text = open(right_structure_file).read()
+    assert '"true_index": 0' in text
+    with open(right_structure_file, "w") as handle:
+        handle.write(text.replace('"true_index": 0', '"true_index": true'))
+    assert main(["classify", "--structure", right_structure_file]) == 2
+    assert "true_index must be an integer, got True" in capsys.readouterr().err
+
+
 def test_theory_bounds_and_notes(right_structure_file, capsys):
     assert main(["theory", "--structure", right_structure_file,
                  "--bound", "asae", "--bound", "const", "--bound", "lower",

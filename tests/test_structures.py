@@ -151,6 +151,14 @@ def test_load_validation_messages(tmp_path):
     with pytest.raises(ValueError):
         sb.load_structure(path)
 
+    # both fields are JSON integers: no bool, float or string stands in
+    for key, value in (("true_index", True), ("true_index", 0.0), ("true_index", "0"),
+                       ("true_index", None), ("arm_count", 2.0), ("arm_count", True)):
+        doc = {"arm_count": 2, "true_index": 0, "models": [[0.5, 0.2]], key: value}
+        path = write(doc)
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            sb.load_structure(path)
+
 
 def test_load_rejects_bad_reward_params(tmp_path):
     path = tmp_path / "g.json"
