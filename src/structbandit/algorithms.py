@@ -8,25 +8,25 @@ Four agents behind one select/observe interface:
   carrying the confidence set and the pull counts across periods.
 * ``SucbAgent`` -- optimism baseline (UCB-S) that keeps the model confidence
   set as one contiguous run of models per arm, refitting only the arm pulled
-  last, and pulls the most optimistic arm.
+  last, and pulls the optimal arm of the most optimistic active model.
 * ``Ucb1Agent`` -- structure-blind index baseline.
 
 ``Environment`` draws rewards for the true model; ``simulate`` runs one agent
 against one environment and records pseudo-regret at checkpoints.
 
-Between phase and period boundaries no reward changes an eliminator's arm:
-it plays a round robin fixed by its counts and phase target, or one settled
-arm (the lone active arm, or the empty-set fallback).  ``simulate`` takes
-every eliminator step in such blocks, at most one draw chunk at a time:
-``Environment.take`` hands out the block's rewards from the current chunk,
-the agent folds them into its counts at once, and the regret is folded left
-to right with ``np.add.accumulate``, so every output keeps the bits of the
-step-by-step path.  SUCB's arm changes only with its confidence set, so
-after each of its select/observe steps it plays that arm on while a
-per-step check proves that a select would change nothing, reading the
-rewards from the chunk; ``simulate`` folds those steps like a block.  The
-scalar ``select``/``observe`` path stays the public interface and the
-tests' oracle.
+``simulate`` advances by plays: each agent's ``_play(env, limit)`` takes 1
+to `limit` steps, all from the current draw chunk, and returns the arms
+pulled.  The base play is one select/pull/observe.  Between phase and
+period boundaries no reward changes an eliminator's arm: it plays a round
+robin fixed by its counts and phase target, or one settled arm (the lone
+active arm, or the empty-set fallback), so its play is that whole block:
+``Environment.take`` hands out the block's rewards from the chunk and the
+agent folds them into its counts at once.  SUCB's arm changes only with its
+confidence set, so after a select/observe step its play goes on with that
+arm while a per-step check proves that a select would change nothing.
+``simulate`` folds each play's regret left to right, so every output keeps
+the bits of the step-by-step path.  The scalar ``select``/``observe`` path
+stays the public interface and the tests' oracle.
 
 UCB1's arm choice depends on every reward, so it has no blocks; instead
 ``simulate_ucb1`` steps the R runs of a batch together on R x K arrays,
@@ -39,6 +39,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,16 +70,18 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta >= 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.sigma2 is not None and not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        # chained comparisons fail for nan as well as for inf
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 1.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        least = 2 if self.algorithm == "sae" else 1
+        if self.horizon is not None and self.horizon < least:
+            raise ValueError(f"{self.algorithm} horizon must be >= {least}, got {self.horizon}")
+        if self.sigma2 is not None and not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,14 @@ class _Agent:
         self._rewards = [0.0] * arm_count
         self._step = 0
         self._pending: int | None = None
+
+    def _play(self, env: Environment, limit: int) -> tuple[int | np.ndarray, int]:
+        """(arms, steps): take 1 to `limit` steps, all from env's current
+        draw chunk, which holds at least `limit` unread draws.  Here one
+        select/pull/observe; agents that can prove later choices take more."""
+        arm = self.select()
+        self.observe(arm, env.pull(arm))
+        return arm, 1
 
     def select(self) -> int:
         if self._pending is not None:
@@ -272,9 +283,9 @@ class _EliminationAgent(_Agent):
                 return arm
         raise RuntimeError("all active arms met the phase target; boundary was not processed")
 
-    def _next_block(self, limit: int) -> tuple[int | np.ndarray, int]:
-        """(arms, steps): the next `steps` steps, at most `limit`, up to the
-        next point where a reward can change the arm choice.
+    def _play(self, env: Environment, limit: int) -> tuple[int | np.ndarray, int]:
+        """Take the steps up to the next point where a reward can change the
+        arm choice, at most `limit`, as one block.
 
         A settled agent plays one arm, the fallback or the lone active arm,
         whatever the rewards.  Otherwise arms is the array of the round
@@ -287,28 +298,29 @@ class _EliminationAgent(_Agent):
             raise RuntimeError("select called again before observe")
         if self._periods_close:
             limit = min(limit, self._period_horizon - self._step)
-        arms, arm = self._active_arms, self._fallback
-        if arm is None and len(arms) == 1:
-            arm = arms[0]
-        if arm is not None:
-            return arm, limit
-        order = arms[self._rr_pos:] + arms[:self._rr_pos]
-        need = [self._target - self._pulls[a] for a in order]
-        passes, done, n = [], 0, 0
-        while n < limit:
-            live = [a for a, d in zip(order, need) if d > done]
-            if not live:
-                break
-            # the passes until the next live arm meets its target repeat `live`
-            reps = min(min(d for d in need if d > done) - done, -((n - limit) // len(live)))
-            passes.append(np.tile(live, reps))
-            done += reps
-            n += reps * len(live)
-        sequence = np.concatenate(passes)[:limit]
-        return sequence, len(sequence)
+        arms, block = self._active_arms, self._fallback
+        if block is None and len(arms) == 1:
+            block = arms[0]
+        if block is None:
+            order = arms[self._rr_pos:] + arms[:self._rr_pos]
+            need = [self._target - self._pulls[a] for a in order]
+            passes, done, n = [], 0, 0
+            while n < limit:
+                live = [a for a, d in zip(order, need) if d > done]
+                if not live:
+                    break
+                # the passes until the next live arm meets its target repeat `live`
+                reps = min(min(d for d in need if d > done) - done, -((n - limit) // len(live)))
+                passes.append(np.tile(live, reps))
+                done += reps
+                n += reps * len(live)
+            block = np.concatenate(passes)[:limit]
+            limit = len(block)
+        self._observe_block(block, env.take(block, limit))
+        return block, limit
 
     def _observe_block(self, arms: int | np.ndarray, rewards: np.ndarray) -> None:
-        """Observe a block from _next_block at once, with its rewards.
+        """Observe a block of arms from _play at once, with its rewards.
 
         Leaves the state that as many select/observe calls leave: the same
         reward checks, counts, reward sums and round-robin position, then
@@ -415,8 +427,8 @@ class SaeAgent(_EliminationAgent):
     _periods_close = False
 
     def __init__(self, structure: Structure, config: AgentConfig) -> None:
-        if config.horizon is None or config.horizon < 2:
-            raise ValueError("sae requires horizon >= 2")
+        if config.horizon is None:
+            raise ValueError("sae requires a horizon")
         super().__init__(structure, config, config.horizon)
 
 
@@ -453,9 +465,12 @@ class SucbAgent(_Agent):
     coeff*log(t) at which that happens), and counts for each model the
     pulled arms whose run excludes it; the active models are those with
     count zero.  The optimistic arm is recomputed only when that set
-    changes.  ``simulate`` follows each select/observe with a stretch
-    (``_stretch``) of further pulls of the same arm, taken one check per
-    step while no refit could move a run.
+    changes, as the optimal arm of the first active model in the optimism
+    order (decreasing optimal mean, then optimal arm): an active mean equal
+    to the largest is its model's unique optimal mean, so that is the lowest
+    arm reaching the supremum.  A play is one select/observe and a stretch
+    (``_stretch``) of further pulls of that arm, one check per step while
+    no refit could move a run.
     """
 
     def __init__(self, structure: Structure, config: AgentConfig) -> None:
@@ -465,11 +480,11 @@ class SucbAgent(_Agent):
             self._coeff = config.alpha
         else:
             self._coeff = 2.0 * config.alpha * config.sigma2
-        self._means = np.array([m.means for m in structure.models], dtype=np.float64)
+        means = np.array([m.means for m in structure.models], dtype=np.float64)
         model_count = structure.model_count
-        order = np.argsort(self._means, axis=0, kind="stable")
+        order = np.argsort(means, axis=0, kind="stable")
         self._order = order.T.tolist()
-        self._column = np.take_along_axis(self._means, order, axis=0).T.tolist()
+        self._column = np.take_along_axis(means, order, axis=0).T.tolist()
         # an unpulled arm keeps the full run and excludes no model
         self._lo = [0] * self.arm_count
         self._hi = [model_count] * self.arm_count
@@ -477,10 +492,11 @@ class SucbAgent(_Agent):
         # next widens; inf while unpulled
         self._wake = [math.inf] * self.arm_count
         self._excluded = [0] * model_count
-        self._active = model_count
-        self._model_mask = np.ones(model_count, dtype=bool)
-        self._changed = False
-        self._arm = int(np.argmax(self._means.max(axis=0)))
+        ranked = sorted((-m.optimal_mean, m.optimal_arm, k) for k, m in enumerate(structure.models))
+        self._optimism = [(k, arm) for _, arm, k in ranked]
+        # the optimistic arm, None while the set is empty; set by the first select
+        self._arm: int | None = None
+        self._changed = True
         self._observed: int | None = None
 
     def _choose(self) -> int:
@@ -494,14 +510,18 @@ class SucbAgent(_Agent):
                         self._refit(arm, scaled)
         if self._changed:
             self._changed = False
-            if self._active:
-                self._arm = int(np.argmax(self._means[self._model_mask].max(axis=0)))
-        if not self._active:
+            excluded = self._excluded
+            self._arm = next((arm for k, arm in self._optimism if not excluded[k]), None)
+        if self._arm is None:
             return _empirical_best(self._pulls, self._rewards)
         return self._arm
 
     def _after_observe(self, arm: int) -> None:
         self._observed = arm
+
+    def _play(self, env: Environment, limit: int) -> tuple[int, int]:
+        arm, _ = super()._play(env, limit)
+        return arm, 1 + self._stretch(env, limit - 1)
 
     def _stretch(self, env: Environment, limit: int) -> int:
         """After a select/observe of arm a, take up to `limit` more steps of a
@@ -518,7 +538,7 @@ class SucbAgent(_Agent):
         """
         arm = self._observed
         lo, hi = self._lo[arm], self._hi[arm]
-        if not self._active or lo >= hi:
+        if self._arm is None or lo >= hi:
             return 0
         draws, start = env.draw_list(), env._pos
         column = self._column[arm]
@@ -586,22 +606,17 @@ class SucbAgent(_Agent):
         if new_lo != lo or new_hi != hi:
             order = self._order[arm]
             excluded = self._excluded
-            mask = self._model_mask
             for start, stop in ((lo, min(hi, new_lo)), (max(lo, new_hi), hi)):
                 for j in range(start, stop):
                     k = order[j]
                     excluded[k] += 1
                     if excluded[k] == 1:
-                        mask[k] = False
-                        self._active -= 1
                         self._changed = True
             for start, stop in ((new_lo, min(new_hi, lo)), (max(new_lo, hi), new_hi)):
                 for j in range(start, stop):
                     k = order[j]
                     excluded[k] -= 1
                     if excluded[k] == 0:
-                        mask[k] = True
-                        self._active += 1
                         self._changed = True
             self._lo[arm], self._hi[arm] = new_lo, new_hi
 
@@ -619,7 +634,7 @@ class SucbAgent(_Agent):
         self._wake[arm] = math.nextafter(nearest * count, 0.0)
 
     def _active_model_ids(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.flatnonzero(self._model_mask))
+        return tuple(k for k, count in enumerate(self._excluded) if not count)
 
 
 class Ucb1Agent(_Agent):
@@ -773,18 +788,17 @@ def simulate(agent, environment: Environment, horizon: int,
     within the horizon; the default is the single final step.  audit keeps
     the full per-step arm log (small horizons only).
 
-    An eliminator takes every step in blocks (see the module docstring),
-    at most one draw chunk at a time; SUCB takes each select/observe step
-    with the stretch that follows it; UCB1 takes one select/observe per
-    step.
+    Each iteration is one play (``_play``): 1 to `limit` steps, all from
+    the current draw chunk.  An eliminator plays blocks up to its next
+    decision (see the module docstring), SUCB a select/observe step with
+    the stretch that follows it, UCB1 and any other object with
+    select/observe one select/pull/observe step.
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
     cps = _checkpoint_list(horizon, checkpoints)
-    gaps = true_gaps(environment.structure)
-    gap_array = np.array(gaps)
-    next_block = getattr(agent, "_next_block", None)
-    stretch = getattr(agent, "_stretch", None)
+    gap_array = np.array(true_gaps(environment.structure))
+    play = agent._play if isinstance(agent, _Agent) else partial(_Agent._play, agent)
     start = time.perf_counter()
     regret = 0.0
     out = []
@@ -792,32 +806,17 @@ def simulate(agent, environment: Environment, horizon: int,
     pos = 0
     t = 0
     while t < horizon:
-        if next_block is None:
-            arm = agent.select()
-            agent.observe(arm, environment.pull(arm))
-            t += 1
-            regret += gaps[arm]
-            if actions is not None:
-                actions.append(arm)
-            while pos < len(cps) and cps[pos] == t:
-                out.append(regret)
-                pos += 1
-            if stretch is None or t == horizon:
-                continue
-            k = stretch(environment, min(horizon - t, environment.room()))
-            if not k:
-                continue
-            arms = arm
+        arms, k = play(environment, min(horizon - t, environment.room()))
+        # partial sums keep the bits of `regret += gap` step by step: one
+        # addition, or add.accumulate, which folds strictly left to right
+        # (a pairwise sum or k * gap would not)
+        if k == 1:
+            folded = (regret, regret + gap_array[arms].item())
         else:
-            arms, k = next_block(min(horizon - t, environment.room()))
-            agent._observe_block(arms, environment.take(arms, k))
-        # add.accumulate folds strictly left to right, so each partial sum
-        # has the bits of the scalar `regret += gap`; a pairwise sum or
-        # k * gap would not
-        increments = np.empty(k + 1)
-        increments[0] = regret
-        increments[1:] = gap_array[arms]
-        folded = np.add.accumulate(increments)
+            increments = np.empty(k + 1)
+            increments[0] = regret
+            increments[1:] = gap_array[arms]
+            folded = np.add.accumulate(increments)
         if actions is not None:
             actions.extend(np.broadcast_to(arms, k).tolist())
         while pos < len(cps) and cps[pos] <= t + k:

@@ -161,7 +161,7 @@ def _agent_configs(entries) -> tuple[AgentConfig, ...]:
         try:
             configs.append(AgentConfig(**entry))
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad agent entry {entry!r}: {exc}")
+            raise UsageError(f"bad agent entry agents[{index}] {entry!r}: {exc}")
     return tuple(configs)
 
 

@@ -79,10 +79,10 @@ def deterministic_sequences(
     ``ceil(log2(n))`` cannot be resolved at this horizon and are reported
     in ``unresolved`` with the cap as their last phase.
     """
-    if beta <= 1.0:
-        raise ValueError("deterministic sequences need beta > 1; k_beta diverges at beta = 1")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 1.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 1, got {beta}; k_beta diverges at beta = 1")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     kb = k_beta(beta, n)

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ def test_agent_config_validation():
         sb.AgentConfig("sae", horizon=0)
     with pytest.raises(ValueError):
         sb.AgentConfig("sucb", sigma2=0.0)
+    # non-finite parameters (JSON reads Infinity and 1e400 as inf)
+    for name in ("alpha", "beta", "eta", "sigma2"):
+        for value in (math.inf, -math.inf, math.nan):
+            for algorithm in sb.ALGORITHMS:
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    sb.AgentConfig(algorithm, horizon=100, **{name: value})
+    # SAE needs two steps; the horizon it is given later is checked too
+    with pytest.raises(ValueError, match="sae horizon must be >= 2"):
+        sb.AgentConfig("sae", horizon=1)
+    with pytest.raises(ValueError, match="sae horizon must be >= 2"):
+        replace(sb.AgentConfig("sae"), horizon=1)
+    assert sb.AgentConfig("asae", horizon=1).horizon == 1
 
 
 def test_make_agent_dispatch(fig_right):

@@ -105,12 +105,29 @@ def test_run_config_validation(tmp_path, capsys):
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
         assert f"'{field}" in capsys.readouterr().err, (field, value)
     # agent entries: horizon a JSON integer, alpha, beta, eta and sigma2
-    # JSON numbers, null only for horizon and sigma2
+    # finite JSON numbers, null only for horizon and sigma2; Infinity and
+    # 1e400 both read as inf
     for field, value in (("horizon", 100.5), ("alpha", True), ("sigma2", "1"),
                          ("eta", False), ("alpha", None), ("beta", None), ("eta", None)):
         path.write_text(json.dumps({**base, "agents": [{"algorithm": "sae", field: value}]}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, (field, value)
         assert f"'agents[0].{field}' must be" in capsys.readouterr().err, (field, value)
+    for field in ("alpha", "beta", "eta", "sigma2"):
+        for value in ("Infinity", "1e400", "NaN"):
+            for algorithm in ("sae", "asae", "sucb", "ucb1"):
+                entry = f'{{"algorithm": "{algorithm}", "{field}": {value}}}'
+                path.write_text(json.dumps({**base, "agents": []}).replace("[]", f"[{entry}]"))
+                assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, entry
+                err = capsys.readouterr().err
+                assert "agents[0]" in err and f"{field} must be finite" in err, entry
+    # SAE needs horizon >= 2, from its own entry or from the batch, before
+    # any run is dispatched
+    for config in ({**base, "agents": [{"algorithm": "sae", "horizon": 1}]},
+                   {**base, "horizon": 1, "checkpoints": [1],
+                    "agents": [{"algorithm": "sucb"}, {"algorithm": "sae"}]}):
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, config
+        assert "sae horizon must be >= 2, got 1" in capsys.readouterr().err, config
     path.write_text(json.dumps([base]))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "JSON object" in capsys.readouterr().err
@@ -319,6 +336,16 @@ def test_theory_usage_errors(right_structure_file, capsys):
     assert main(["theory", "--structure", right_structure_file,
                  "--sequences", "--n", "1000"]) == 2  # default beta = 1
     assert "beta" in capsys.readouterr().err
+    # non-finite alpha or beta would write NaN/Infinity, which is not JSON
+    for command, flags, name in (
+            ("theory", ["--bound", "sae", "--alpha", "nan", "--beta", "2"], "alpha"),
+            ("theory", ["--sequences", "--beta", "inf"], "beta"),
+            ("theory", ["--sequences", "--beta", "nan"], "beta"),
+            ("classify", ["--alpha", "inf", "--beta", "2"], "alpha")):
+        argv = [command, "--structure", right_structure_file, "--n", "500000", *flags]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert name in captured.err and not captured.out, argv
 
 
 def test_paper_suite_pull_checks():

@@ -173,12 +173,20 @@ def test_run_batch_zero_variance_aggregate():
     assert agg.regret_half_width == (0.0,)
 
 
-def test_run_batch_failure_names_run(fig_right):
+def test_run_batch_failure_names_run(fig_right, monkeypatch):
+    # no valid config makes a run fail, so a stand-in simulate does
+    def broken(agent, environment, horizon, checkpoints):
+        raise ValueError("broken run")
+
+    monkeypatch.setattr(sb.simulation, "simulate", broken)
     config = sb.ExperimentConfig(
         structure=fig_right, agents=(sb.AgentConfig("sae"),),
-        horizon=1, runs=2, checkpoints=(1,))
-    with pytest.raises(RuntimeError, match=r"algorithm='sae' seed=\d+"):
+        horizon=10, runs=2, checkpoints=(10,))
+    with pytest.raises(RuntimeError, match=r"algorithm='sae' seed=\d+: broken run"):
         sb.run_batch(config)
+    # SAE's batch horizon below 2 is refused before any run
+    with pytest.raises(ValueError, match="sae horizon must be >= 2, got 1"):
+        sb.run_batch(replace(config, horizon=1, checkpoints=(1,)))
 
 
 def test_run_randomized_batch():

@@ -113,6 +113,10 @@ def test_sequences_errors(fig_right):
         sb.deterministic_sequences(fig_right, alpha=0.0, beta=2.0, n=1000)
     with pytest.raises(ValueError):
         sb.deterministic_sequences(fig_right, alpha=4.0, beta=2.0, n=1)
+    for alpha, beta, name in ((math.nan, 2.0, "alpha"), (math.inf, 2.0, "alpha"),
+                              (1.0, math.inf, "beta"), (1.0, math.nan, "beta")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sb.deterministic_sequences(fig_right, alpha=alpha, beta=beta, n=500_000)
 
 
 @settings(max_examples=40, deadline=None)
