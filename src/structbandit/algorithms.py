@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,6 +49,7 @@ from .gaps import RewardSpec, Structure, optimal_arm_set, true_gaps
 ALGORITHMS = ("sae", "asae", "sucb", "ucb1")
 
 _DRAW_CHUNK = 8192
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,18 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        # chained comparisons fail for nan as well as for inf
-        if not 0.0 < self.alpha < math.inf:
+        # chained comparisons fail for nan and inf, and for an int too large
+        # for a float, since an int compares with the largest float exactly
+        if not 0.0 < self.alpha <= _FLOAT_MAX:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 1.0 <= self.beta < math.inf:
+        if not 1.0 <= self.beta <= _FLOAT_MAX:
             raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
-        if not 0.0 < self.eta < math.inf:
+        if not 0.0 < self.eta <= _FLOAT_MAX:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         least = 2 if self.algorithm == "sae" else 1
         if self.horizon is not None and self.horizon < least:
             raise ValueError(f"{self.algorithm} horizon must be >= {least}, got {self.horizon}")
-        if self.sigma2 is not None and not 0.0 < self.sigma2 < math.inf:
+        if self.sigma2 is not None and not 0.0 < self.sigma2 <= _FLOAT_MAX:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
 
 
@@ -391,19 +394,14 @@ class _EliminationAgent(_Agent):
 
         Strict inequality; arms with zero pulls impose no constraint.
         """
-        alpha = self.config.alpha
-        constraints = []
-        for i in range(self.arm_count):
-            if self._pulls[i] > 0:
-                mean = self._rewards[i] / self._pulls[i]
-                radius = math.sqrt(alpha * self._log_nk / self._pulls[i])
-                constraints.append((i, mean, radius))
-        kept = []
-        for k in self._base_models:
-            means = self.structure.models[k].means
-            if all(abs(mean - means[i]) < radius for i, mean, radius in constraints):
-                kept.append(k)
-        return kept
+        pulls = np.array(self._pulls, dtype=np.float64)
+        pulled = pulls > 0.0
+        counts = pulls[pulled]
+        means = np.array(self._rewards)[pulled] / counts
+        radii = np.sqrt(self.config.alpha * self._log_nk / counts)
+        base = np.array(self._base_models)
+        near = np.abs(self.structure.means[base][:, pulled] - means) < radii
+        return base[near.all(axis=1)].tolist()
 
     def snapshot(self) -> AgentState:
         return AgentState(
@@ -480,7 +478,7 @@ class SucbAgent(_Agent):
             self._coeff = config.alpha
         else:
             self._coeff = 2.0 * config.alpha * config.sigma2
-        means = np.array([m.means for m in structure.models], dtype=np.float64)
+        means = structure.means
         model_count = structure.model_count
         order = np.argsort(means, axis=0, kind="stable")
         self._order = order.T.tolist()

@@ -9,8 +9,11 @@ an arm subset (``psi``) drives all the regret bounds in :mod:`theory`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Comparisons between derived real quantities use this absolute tolerance.
 TOLERANCE = 1e-12
@@ -53,15 +56,23 @@ class BanditModel:
 
     def __post_init__(self) -> None:
         if len(self.means) == 0:
-            raise ValueError("a model needs at least one arm")
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-        for i, m in enumerate(self.means):
-            if not (0.0 <= m <= 1.0) or math.isnan(m):
-                raise ValueError(f"mean of arm {i} is {m}, outside [0, 1]")
-        best = max(self.means)
-        if self.means.count(best) > 1:
-            raise ValueError("tied optimal arms; model means must have a unique maximum")
-        object.__setattr__(self, "optimal_arm", self.means.index(best))
+            raise ValueError("no means; a model needs at least one arm")
+        try:
+            means = tuple(map(float, self.means))
+            best = max(means)
+            # min and max need not see a nan, so it gets its own scan
+            ok = 0.0 <= min(means) and best <= 1.0 and not any(map(math.isnan, means))
+        except OverflowError:  # an int too large for a float
+            ok = False
+        if not ok:
+            i = next(i for i, m in enumerate(self.means) if not 0.0 <= m <= 1.0)
+            raise ValueError(f"arm {i}: mean {self.means[i]} outside [0, 1]")
+        arm = means.index(best)
+        if means.count(best) > 1:
+            raise ValueError(f"arms {arm} and {means.index(best, arm + 1)}: tied optimal "
+                             "means; a model needs a unique maximum")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "optimal_arm", arm)
         object.__setattr__(self, "optimal_mean", best)
 
     @property
@@ -76,13 +87,16 @@ class Structure:
     ``models[true_index]`` is the model the environment actually draws
     rewards from.  The agents receive the model list but never the true
     index.  ``reward`` and ``provenance`` travel with the structure so that
-    a saved file is self describing.
+    a saved file is self describing.  The read-only arrays ``means`` (M x K)
+    and ``optimal_arms`` serve every reduction over the models.
     """
 
     models: tuple[BanditModel, ...]
     true_index: int
     reward: RewardSpec = RewardSpec()
     provenance: dict | None = field(default=None, compare=True)
+    means: np.ndarray = field(init=False, compare=False, repr=False)
+    optimal_arms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.models) == 0:
@@ -98,6 +112,15 @@ class Structure:
             raise ValueError(
                 f"true_index {self.true_index} out of range for {len(self.models)} models"
             )
+        means = np.array([model.means for model in self.models], dtype=np.float64)
+        optimal = means.argmax(axis=1)  # the unique maximum of each row
+        means.flags.writeable = optimal.flags.writeable = False
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "optimal_arms", optimal)
+
+    def __reduce__(self):
+        # pickles as its fields; loading rebuilds the arrays, read-only
+        return Structure, (self.models, self.true_index, self.reward, self.provenance)
 
     @property
     def arm_count(self) -> int:
@@ -125,8 +148,8 @@ def suboptimality_gap(model: BanditModel, arm: int) -> float:
 
 def true_gaps(structure: Structure) -> tuple[float, ...]:
     """Sub-optimality gaps of every arm under the true model."""
-    true = structure.true_model
-    return tuple(suboptimality_gap(true, i) for i in range(structure.arm_count))
+    true = structure.means[structure.true_index]
+    return tuple((true.max() - true).tolist())
 
 
 def model_gap(a: BanditModel, b: BanditModel, arm: int) -> float:
@@ -138,30 +161,53 @@ def model_gap(a: BanditModel, b: BanditModel, arm: int) -> float:
     return abs(a.means[arm] - b.means[arm])
 
 
-def _worst_gap(model: BanditModel, true: BanditModel, arms, stale=None) -> float:
-    """Largest per-arm separation of ``model`` from ``true`` over ``arms``
-    (0 for no arms).  With ``stale``, the gap on arm ``j`` is first halved
-    ``stale.get(j, 0)`` times.
-    """
-    a, b = model.means, true.means
-    if stale is None:
-        return max((abs(a[j] - b[j]) for j in arms), default=0.0)
-    return max((abs(a[j] - b[j]) / 2.0 ** stale.get(j, 0) for j in arms), default=0.0)
+def separations(structure: Structure) -> np.ndarray:
+    """Per-arm separations ``|mu_kj - mu*_j|`` of the models from the true one (M x K)."""
+    return np.abs(structure.means - structure.means[structure.true_index])
 
 
-def _check_model_subset(structure: Structure, subset) -> list[int]:
-    out = sorted(set(subset))
-    for k in out:
-        if not (0 <= k < structure.model_count):
-            raise ValueError(f"model index {k} out of range for {structure.model_count} models")
-    return out
+def optimistic_mask(structure: Structure) -> np.ndarray:
+    """Models whose best mean beats the true best mean, as a boolean array."""
+    means, arms = structure.means, structure.optimal_arms
+    return means[np.arange(len(arms)), arms] > means[structure.true_index, structure.optimal_arm]
 
 
-def _check_arm_subset(structure: Structure, arms) -> list[int]:
-    out = sorted(set(arms))
-    for i in out:
-        if not (0 <= i < structure.arm_count):
-            raise ValueError(f"arm index {i} out of range for {structure.arm_count} arms")
+def worst_separations(structure: Structure, extra=(), sep=None) -> np.ndarray:
+    """Per model, its largest separation from the true model over its
+    optimal arm i and the arms of ``extra``, or of ``extra[i]`` when it is a
+    dict.  ``sep`` stands in for ``separations(structure)`` when given."""
+    sep = separations(structure) if sep is None else sep
+    arms = structure.optimal_arms
+    if isinstance(extra, dict):
+        arm_sets = np.zeros((structure.arm_count,) * 2, dtype=bool)
+        counts = list(map(len, extra.values()))
+        arm_sets[np.fromiter(extra, int, len(extra)).repeat(counts),
+                 np.fromiter(itertools.chain.from_iterable(extra.values()), int)] = True
+        where = arm_sets[arms]
+    else:
+        where = np.zeros(structure.arm_count, dtype=bool)
+        where[list(extra)] = True
+    worst = np.max(sep, axis=1, where=where, initial=0.0)
+    return np.maximum(worst, sep[np.arange(len(arms)), arms])
+
+
+def closest_separations(structure: Structure, values: np.ndarray, models=None) -> list[float]:
+    """Per arm i, the least of ``values`` over the models favouring i, only
+    those in the boolean mask ``models`` when given; ``inf`` for none.  Of
+    :func:`worst_separations` this is ``psi`` of each arm, unsquared."""
+    arms = structure.optimal_arms
+    if models is not None:
+        arms, values = arms[models], values[models]
+    closest = np.full(structure.arm_count, math.inf)
+    np.minimum.at(closest, arms, values)
+    return closest.tolist()
+
+
+def _checked(indices, count: int, kind: str) -> list[int]:
+    out = sorted(set(indices))
+    if out and not (0 <= out[0] and out[-1] < count):
+        bad = next(i for i in out if not 0 <= i < count)
+        raise ValueError(f"{kind} index {bad} out of range for {count} {kind}s")
     return out
 
 
@@ -173,29 +219,24 @@ def optimal_arm_set(structure: Structure, subset=None) -> frozenset[int]:
     undefined without at least one model.
     """
     if subset is None:
-        models = range(structure.model_count)
-    else:
-        models = _check_model_subset(structure, subset)
-        if not models:
-            raise ValueError("optimal_arm_set needs a non-empty model subset")
-    return frozenset(structure.models[k].optimal_arm for k in models)
+        return frozenset(structure.optimal_arms.tolist())
+    models = _checked(subset, structure.model_count, "model")
+    if not models:
+        raise ValueError("optimal_arm_set needs a non-empty model subset")
+    return frozenset(structure.optimal_arms[models].tolist())
 
 
 def models_with_optimal_arm(structure: Structure, arm: int) -> frozenset[int]:
     """Indices of the models whose optimal arm is ``arm``."""
-    _check_arm_subset(structure, (arm,))
-    return frozenset(
-        k for k, model in enumerate(structure.models) if model.optimal_arm == arm
-    )
+    _checked((arm,), structure.arm_count, "arm")
+    return frozenset(np.flatnonzero(structure.optimal_arms == arm).tolist())
 
 
 def optimistic_models(structure: Structure, arm: int) -> frozenset[int]:
     """Models with optimal arm ``arm`` whose best mean beats the true best mean."""
-    best = structure.true_model.optimal_mean
-    return frozenset(
-        k for k in models_with_optimal_arm(structure, arm)
-        if structure.models[k].optimal_mean > best
-    )
+    _checked((arm,), structure.arm_count, "arm")
+    mask = (structure.optimal_arms == arm) & optimistic_mask(structure)
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def psi(structure: Structure, subset, arms) -> tuple[float, int | None]:
@@ -207,26 +248,20 @@ def psi(structure: Structure, subset, arms) -> tuple[float, int | None]:
     subset yields ``(inf, None)``; an empty arm set is an error because the
     inner maximum would be over nothing.
     """
-    arm_list = _check_arm_subset(structure, arms)
+    arm_list = _checked(arms, structure.arm_count, "arm")
     if not arm_list:
         raise ValueError("psi needs a non-empty arm set")
-    model_list = _check_model_subset(structure, subset)
-    true = structure.true_model
-    best_value = math.inf
-    best_model: int | None = None
-    for k in model_list:
-        # fl(x**2) is monotone: the square of the worst gap is the worst squared gap
-        worst = _worst_gap(structure.models[k], true, arm_list) ** 2
-        if worst < best_value:
-            best_value = worst
-            best_model = k
-    return best_value, best_model
-
-
-def _competitors(structure: Structure) -> list[BanditModel]:
-    """Models that disagree with the true model about the optimal arm."""
-    i_star = structure.optimal_arm
-    return [model for model in structure.models if model.optimal_arm != i_star]
+    model_list = _checked(subset, structure.model_count, "model")
+    if not model_list:
+        return math.inf, None
+    means = structure.means
+    worst = np.abs(means[np.ix_(model_list, arm_list)]
+                   - means[structure.true_index, arm_list]).max(axis=1)
+    # fl(x**2) is monotone, so the square of the worst gap is the worst
+    # squared gap; squares can tie where gaps do not, and the first one wins
+    squares = [w ** 2 for w in worst.tolist()]
+    best = min(squares)
+    return best, model_list[squares.index(best)]
 
 
 def gamma_star(structure: Structure) -> float:
@@ -236,9 +271,9 @@ def gamma_star(structure: Structure) -> float:
     of the optimal arm alone.
     """
     i_star = structure.optimal_arm
-    true = structure.true_model
-    return min((model_gap(model, true, i_star) for model in _competitors(structure)),
-               default=math.inf)
+    means = structure.means
+    column = means[structure.optimal_arms != i_star, i_star]
+    return min(np.abs(column - means[structure.true_index, i_star]).tolist(), default=math.inf)
 
 
 def delta_floor(structure: Structure) -> float:
@@ -246,8 +281,8 @@ def delta_floor(structure: Structure) -> float:
     that disagree about the optimal arm.  ``inf`` when every model agrees.
     """
     i_star = structure.optimal_arm
-    return min((suboptimality_gap(model, i_star) for model in _competitors(structure)),
-               default=math.inf)
+    rivals = structure.means[structure.optimal_arms != i_star]
+    return min((rivals.max(axis=1) - rivals[:, i_star]).tolist(), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -286,45 +321,34 @@ def classify(structure: Structure, sequences=None) -> StructureClass:
     the per-arm elimination sets.
     """
     i_star = structure.optimal_arm
-    true = structure.true_model
-    arms = range(structure.arm_count)
+    sep = separations(structure)
+    rows, arms = np.arange(structure.model_count), structure.optimal_arms
+    rivals = arms != i_star
+    optimistic = rivals & optimistic_mask(structure)
 
-    in_wc = True
-    for i in arms:
-        if i == i_star:
-            continue
-        opt = optimistic_models(structure, i)
-        # Optimistic models that the other arms cannot see at all.
-        others = [j for j in arms if j != i]
-        blind = frozenset(
-            k for k in opt if _worst_gap(structure.models[k], true, others) <= TOLERANCE
-        )
-        full, _ = psi(structure, opt, (i,))
-        restricted, _ = psi(structure, blind, (i,))
-        if not _close(full, restricted):
-            in_wc = False
-            break
+    def same(values, lhs, rhs) -> bool:
+        # psi of each arm over the models in lhs and in rhs agree, as squares
+        pairs = zip(closest_separations(structure, values, lhs),
+                    closest_separations(structure, values, rhs))
+        return all(x == y or _close(x ** 2, y ** 2) for x, y in pairs)
 
-    in_opt: bool | None
-    if sequences is None:
-        in_opt = None
-    else:
-        in_opt = True
-        for i in sorted(optimal_arm_set(structure)):
-            if i == i_star:
-                continue
-            arm_set = sequences.informative_arms[i]
-            lhs, _ = psi(structure, optimistic_models(structure, i), arm_set)
-            rhs, _ = psi(structure, models_with_optimal_arm(structure, i), arm_set)
-            if not _close(lhs, rhs):
-                in_opt = False
-                break
+    # optimistic models that the arms but their own cannot see at all
+    hidden = sep[optimistic]
+    hidden[np.arange(len(hidden)), arms[optimistic]] = 0.0
+    blind = optimistic.copy()
+    blind[optimistic] = hidden.max(axis=1, initial=0.0) <= TOLERANCE
+    in_wc = same(sep[rows, arms], optimistic, blind)
 
-    g_star = gamma_star(structure)
-    in_cr = all(
-        _close(model_gap(model, true, i_star), g_star)
-        and _worst_gap(model, true, set(arms) - {model.optimal_arm, i_star}) <= TOLERANCE
-        for model in _competitors(structure)
-    )
+    in_opt: bool | None = None
+    if sequences is not None:
+        worst = worst_separations(structure, sequences.informative_arms, sep)
+        in_opt = same(worst, optimistic, rivals)
+
+    # every rival at gamma_star on the optimal arm and blind but on its own
+    column = sep[rivals, i_star]
+    hidden = sep[rivals]
+    hidden[np.arange(len(hidden)), arms[rivals]] = hidden[:, i_star] = 0.0
+    in_cr = bool(np.all(np.abs(column - min(column.tolist(), default=math.inf)) <= TOLERANCE)
+                 and np.all(hidden.max(axis=1, initial=0.0) <= TOLERANCE))
 
     return StructureClass(in_worst_case=in_wc, in_optimality=in_opt, in_constant_regret=in_cr)

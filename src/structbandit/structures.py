@@ -8,7 +8,6 @@ and JSON save/load with full validation.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -23,14 +22,15 @@ _TIE_NUDGE = 1e-6
 
 
 def _nudge_ties(means: list[float]) -> list[float]:
-    order = sorted(range(len(means)), key=lambda i: (-means[i], i))
-    if len(means) >= 2 and means[order[0]] - means[order[1]] < _TIE_WIDTH:
+    top = means.index(max(means))  # the lowest index on ties
+    second = max(means[:top] + means[top + 1:], default=float("-inf"))
+    if means[top] - second < _TIE_WIDTH:
         means = list(means)
-        means[order[0]] = min(means[order[0]] + _TIE_NUDGE, 1.0)
-        if means[order[0]] - means[order[1]] < _TIE_WIDTH:
+        means[top] = min(means[top] + _TIE_NUDGE, 1.0)
+        if means[top] - second < _TIE_WIDTH:
             raise ValueError(
                 "tied optimal arms could not be separated by nudging "
-                f"(means {means[order[0]]} and {means[order[1]]} at the clamp)"
+                f"(means {means[top]} and {second} at the clamp)"
             )
     return means
 
@@ -229,8 +229,7 @@ def save_structure(structure: Structure, path) -> None:
         "provenance": structure.provenance,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def load_structure(path) -> Structure:
@@ -260,15 +259,14 @@ def load_structure(path) -> Structure:
                 f"{path}: model {k} has {len(row) if isinstance(row, list) else 'no'} "
                 f"means, expected arm_count = {arm_count}"
             )
-        for i, m in enumerate(row):
-            if not isinstance(m, (int, float)) or isinstance(m, bool) or math.isnan(m):
-                raise ValueError(f"{path}: model {k}, arm {i}: mean {m!r} is not a number")
-            if not 0.0 <= m <= 1.0:
-                raise ValueError(f"{path}: model {k}, arm {i}: mean {m} outside [0, 1]")
+        # JSON numbers only (a bool is no number); BanditModel checks the values
+        if not set(map(type, row)) <= {int, float}:
+            i = next(i for i, m in enumerate(row) if type(m) not in (int, float))
+            raise ValueError(f"{path}: model {k}, arm {i}: mean {row[i]!r} is not a number")
         try:
-            models.append(BanditModel(tuple(float(m) for m in row)))
+            models.append(BanditModel(row))
         except ValueError as exc:
-            raise ValueError(f"{path}: model {k}: {exc}") from exc
+            raise ValueError(f"{path}: model {k}, {exc}") from exc
 
     raw_reward = doc.get("reward", {"kind": "bernoulli", "params": {}})
     if not isinstance(raw_reward, dict) or "kind" not in raw_reward:

@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 
 from .gaps import (
     Structure,
-    _worst_gap,
     classify,
+    closest_separations,
     delta_floor,
     gamma_star,
-    models_with_optimal_arm,
     optimal_arm_set,
-    optimistic_models,
-    psi,
+    optimistic_mask,
+    separations,
     true_gaps,
+    worst_separations,
 )
 
 
@@ -62,10 +62,6 @@ class TheorySequences:
     unresolved: frozenset[int]
     alpha_beta_mismatch: bool
 
-    @property
-    def phase_count(self) -> int:
-        return len(self.removed)
-
 
 def deterministic_sequences(
     structure: Structure, alpha: float, beta: float, n: int
@@ -88,16 +84,12 @@ def deterministic_sequences(
     kb = k_beta(beta, n)
     assert kb is not None
     i_star = structure.optimal_arm
-    true = structure.true_model
     a_star = sorted(optimal_arm_set(structure))
-    favouring = {i: sorted(models_with_optimal_arm(structure, i)) for i in a_star}
+    sep = separations(structure)
     cap = math.ceil(math.log2(n))
 
-    def separation(i, arms, stale=None) -> float:
-        # worst gap on arms of the closest model favouring arm i; unsquared,
-        # unlike psi, since t <= s and t * t <= fl(s * s) can disagree
-        return min(_worst_gap(structure.models[k], true, arms, stale) for k in favouring[i])
-
+    # closest[i]: worst gap of the closest model favouring i (each favours an arm
+    # of a_star); unsquared, unlike psi, as t <= s and t * t <= fl(s * s) can disagree
     active: list[frozenset[int]] = [frozenset(a_star)]
     removed: list[frozenset[int]] = []
     surely: list[frozenset[int]] = []
@@ -108,13 +100,15 @@ def deterministic_sequences(
         if h == 0:
             under = frozenset(a_star)
         else:
-            stale = {j: max(h - h_j - 1, 0) for j, h_j in last.items()}
-            under = frozenset(i for i in arms_h
-                              if 2.0 ** (-(h - 1)) > kb * separation(i, a_star, stale))
+            # a removed arm's gap is halved for each phase since its last one
+            stale = sep / [2.0 ** max(h - last[j] - 1, 0) if j in last else 1.0
+                           for j in range(structure.arm_count)]
+            closest = closest_separations(structure, worst_separations(structure, a_star, stale))
+            under = frozenset(i for i in arms_h if 2.0 ** (-(h - 1)) > kb * closest[i])
         surely.append(under)
 
-        threshold = 2.0 ** (-h)
-        gone = frozenset(i for i in arms_h if threshold <= separation(i, under | {i}))
+        closest = closest_separations(structure, worst_separations(structure, under, sep))
+        gone = frozenset(i for i in arms_h if 2.0 ** (-h) <= closest[i])
         removed.append(gone)
         for i in gone:
             last[i] = h
@@ -124,13 +118,10 @@ def deterministic_sequences(
             break
 
     unresolved = frozenset(active[-1] - {i_star})
-    final_h = len(removed) - 1
-    for i in unresolved:
-        last[i] = final_h
+    last.update(dict.fromkeys(unresolved, len(removed) - 1))
 
-    informative = {
-        i: frozenset(surely[last[i]] | {i}) for i in a_star if i != i_star and i in last
-    }
+    informative = {i: frozenset(surely[last[i]] | {i})
+                   for i in a_star if i != i_star and i in last}
 
     return TheorySequences(
         alpha=alpha,
@@ -179,16 +170,8 @@ class BoundReport:
             "constant": self.constant,
             "params": dict(self.params),
             "flags": dict(self.flags),
-            "terms": [
-                {
-                    "arm": t.arm,
-                    "gap": t.gap,
-                    "separation": t.separation,
-                    "value": t.value,
-                    "note": t.note,
-                }
-                for t in self.terms
-            ],
+            # each term's fields, in their order
+            "terms": [dict(vars(t)) for t in self.terms],
         }
 
 
@@ -205,27 +188,29 @@ _UNBOUNDED = "zero separation on the informative arms; term unbounded"
 
 
 def _separation_terms(structure: Structure, coeff: float, log_factor: float,
-                      informative, flags: dict, zero_note: str = _UNBOUNDED) -> list[BoundTerm]:
+                      extra, flags: dict, models=None,
+                      zero_note: str = _UNBOUNDED) -> list[BoundTerm]:
     """One term coeff * gap * log_factor / separation per potentially-optimal
     sub-optimal arm.
 
-    ``informative(i)`` gives the model subset and the arm set whose ``psi``
-    is arm ``i``'s separation.  An empty model subset means the agent never
-    pulls the arm (term 0); a zero separation makes the term infinite and
-    sets ``flags["unbounded_term"]``.
+    Arm ``i``'s separation is ``psi`` over the models favouring it, only
+    those in the boolean mask ``models`` when given, on ``i`` and the arms
+    of ``extra`` (see :func:`worst_separations`).  No such model means
+    the agent never pulls the arm (term 0); a zero separation makes the term
+    infinite and sets ``flags["unbounded_term"]``.
     """
     i_star = structure.optimal_arm
     gaps = true_gaps(structure)
+    closest = closest_separations(structure, worst_separations(structure, extra), models)
     terms = []
     for i in sorted(optimal_arm_set(structure)):
         if i == i_star:
             continue
-        models, arms = informative(i)
-        if not models:
+        if math.isinf(closest[i]):
             terms.append(BoundTerm(arm=i, gap=gaps[i], separation=math.inf, value=0.0,
                                    note="never pulled under optimism"))
             continue
-        separation, _ = psi(structure, models, arms)
+        separation = closest[i] ** 2
         if separation == 0.0:
             value = math.inf
             note = zero_note
@@ -258,10 +243,8 @@ def sae_bound(structure: Structure, sequences: TheorySequences, n: int) -> Bound
         flags["alpha_beta_mismatch"] = True
     if sequences.unresolved:
         flags["unresolved_arms"] = sorted(sequences.unresolved)
-    terms = _separation_terms(
-        structure, c_beta, math.log(n),
-        lambda i: (models_with_optimal_arm(structure, i), sequences.informative_arms[i]),
-        flags)
+    terms = _separation_terms(structure, c_beta, math.log(n), sequences.informative_arms,
+                              flags)
 
     constant = 2.0 * len(optimal_arm_set(structure))
     return _report("phased_elimination", terms, constant,
@@ -278,9 +261,7 @@ def asae_bound(structure: Structure, n: int) -> BoundReport:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     flags: dict = {}
-    terms = _separation_terms(
-        structure, 192.0, math.log(n),
-        lambda i: (models_with_optimal_arm(structure, i), (i, structure.optimal_arm)), flags)
+    terms = _separation_terms(structure, 192.0, math.log(n), (structure.optimal_arm,), flags)
 
     constant = 6.0 * len(optimal_arm_set(structure))
     return _report("anytime_phased_elimination", terms, constant, {"n": n}, flags)
@@ -305,9 +286,7 @@ def asae_constant_bound(structure: Structure) -> BoundReport:
 
     flags: dict = {}
     log_t_bar = math.log(t_bar) if t_bar > 0 else 0.0
-    terms = _separation_terms(
-        structure, 480.0, log_t_bar,
-        lambda i: (models_with_optimal_arm(structure, i), (i, structure.optimal_arm)), flags)
+    terms = _separation_terms(structure, 480.0, log_t_bar, (structure.optimal_arm,), flags)
 
     constant = 9.0 * len(a_star)
     return _report("anytime_constant_regret", terms, constant,
@@ -329,7 +308,7 @@ def sucb_bound(structure: Structure, n: int, c: float = 8.0, c_prime: float = 0.
         raise ValueError(f"c must be positive, got {c}")
     flags: dict = {}
     terms = _separation_terms(
-        structure, c, math.log(n), lambda i: (optimistic_models(structure, i), (i,)), flags,
+        structure, c, math.log(n), (), flags, optimistic_mask(structure),
         zero_note="optimistic model indistinguishable on the arm itself")
 
     return _report("optimistic_confidence_set", terms, c_prime,
@@ -426,11 +405,12 @@ def lower_bound_cr(structure: Structure, c: float = 8.0, n: int | None = None) -
     vacuous = log_arg <= 1.0
     log_factor = 0.0 if vacuous else math.log(log_arg)
 
+    closest = closest_separations(structure, worst_separations(structure))
     terms = []
     for i in a_star:
         if i == i_star:
             continue
-        separation, _ = psi(structure, models_with_optimal_arm(structure, i), (i,))
+        separation = closest[i] ** 2
         value = 0.0 if vacuous else gaps[i] / (2.0 * separation) * log_factor
         terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation, value=value))
 

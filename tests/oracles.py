@@ -42,7 +42,9 @@ def oracle_psi(structure, subset, arms):
         worst = -math.inf
         for j in arms:
             gap = abs(means[k][j] - true[j])
-            sq = gap * gap
+            # ** 2 as the package squares: it rounds as pow() does, which
+            # differs from gap * gap by one ulp for some gaps
+            sq = gap ** 2
             if sq > worst:
                 worst = sq
         if worst < best_value:
@@ -175,3 +177,73 @@ def sucb_arm(structure, mask, pulls, rewards):
         if count and rewards[i] / count > best_mean:
             best, best_mean = i, rewards[i] / count
     return best
+
+
+def oracle_sequences(structure, beta, n):
+    """The elimination schedule as the per-model loops computed it before the
+    means matrix: (active, removed, surely_active, last_active_phase,
+    informative_arms, unresolved).  ``beta`` must be finite and > 1."""
+    means = _means(structure)
+    true = means[structure.true_index]
+    i_star = _argmax(true)
+    kb = math.sqrt((beta + 1.0) ** 2 + 1.0 / math.log(n)) / (beta - 1.0)
+    a_star = sorted(oracle_optimal_arm_set(structure))
+    favouring = {i: [k for k, row in enumerate(means) if _argmax(row) == i] for i in a_star}
+    cap = math.ceil(math.log2(n))
+
+    def separation(i, arms, stale=None):
+        best = math.inf
+        for k in favouring[i]:
+            worst = 0.0
+            for j in arms:
+                gap = abs(means[k][j] - true[j])
+                if stale is not None:
+                    gap = gap / 2.0 ** stale.get(j, 0)
+                if gap > worst:
+                    worst = gap
+            if worst < best:
+                best = worst
+        return best
+
+    active = [frozenset(a_star)]
+    removed, surely, last = [], [], {}
+    for h in range(cap + 1):
+        arms_h = active[h]
+        if h == 0:
+            under = frozenset(a_star)
+        else:
+            stale = {j: max(h - h_j - 1, 0) for j, h_j in last.items()}
+            under = frozenset(i for i in arms_h
+                              if 2.0 ** (-(h - 1)) > kb * separation(i, a_star, stale))
+        surely.append(under)
+        threshold = 2.0 ** (-h)
+        gone = frozenset(i for i in arms_h if threshold <= separation(i, under | {i}))
+        removed.append(gone)
+        for i in gone:
+            last[i] = h
+        nxt = frozenset(arms_h - gone)
+        active.append(nxt)
+        if nxt <= {i_star}:
+            break
+    unresolved = frozenset(active[-1] - {i_star})
+    for i in unresolved:
+        last[i] = len(removed) - 1
+    informative = {i: frozenset(surely[last[i]] | {i})
+                   for i in a_star if i != i_star and i in last}
+    return tuple(active), tuple(removed), tuple(surely), last, informative, unresolved
+
+
+def oracle_filter_models(structure, base_models, pulls, rewards, alpha, log_nk):
+    """The eliminators' model filter as a per-model loop: the models of
+    ``base_models`` within sqrt(alpha*log_nk/T_i) of every pulled arm's
+    empirical mean, strictly."""
+    constraints = []
+    for i, count in enumerate(pulls):
+        if count > 0:
+            constraints.append((i, rewards[i] / count, math.sqrt(alpha * log_nk / count)))
+    kept = []
+    for k in base_models:
+        means = structure.models[k].means
+        if all(abs(mean - means[i]) < radius for i, mean, radius in constraints):
+            kept.append(k)
+    return kept

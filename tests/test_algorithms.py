@@ -1,6 +1,7 @@
 """Agent behavior: phase schedules, eliminations, baselines, simulate."""
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -68,6 +69,14 @@ def test_agent_config_validation():
             for algorithm in sb.ALGORITHMS:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     sb.AgentConfig(algorithm, horizon=100, **{name: value})
+    # an integer too large for a float, as JSON reads 1 followed by 400 zeros;
+    # the largest float itself passes
+    for name in ("alpha", "beta", "eta", "sigma2"):
+        for algorithm in sb.ALGORITHMS:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sb.AgentConfig(algorithm, horizon=100, **{name: 10 ** 400})
+            assert getattr(sb.AgentConfig(algorithm, **{name: sys.float_info.max}), name) \
+                == sys.float_info.max
     # SAE needs two steps; the horizon it is given later is checked too
     with pytest.raises(ValueError, match="sae horizon must be >= 2"):
         sb.AgentConfig("sae", horizon=1)

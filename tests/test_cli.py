@@ -120,6 +120,15 @@ def test_run_config_validation(tmp_path, capsys):
                 assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, entry
                 err = capsys.readouterr().err
                 assert "agents[0]" in err and f"{field} must be finite" in err, entry
+    # an integer too large for a float compares as finite unless the check
+    # is made against the largest float
+    for field in ("alpha", "beta", "eta", "sigma2"):
+        for algorithm in ("sae", "asae", "sucb", "ucb1"):
+            entry = f'{{"algorithm": "{algorithm}", "{field}": 1{"0" * 400}}}'
+            path.write_text(json.dumps({**base, "agents": []}).replace("[]", f"[{entry}]"))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, entry
+            err = capsys.readouterr().err
+            assert "agents[0]" in err and f"{field} must be finite" in err, entry
     # SAE needs horizon >= 2, from its own entry or from the batch, before
     # any run is dispatched
     for config in ({**base, "agents": [{"algorithm": "sae", "horizon": 1}]},
@@ -346,6 +355,17 @@ def test_theory_usage_errors(right_structure_file, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert name in captured.err and not captured.out, argv
+
+
+def test_structure_mean_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"arm_count": 2, "true_index": 0, "models": [[0.5, 0.2], [0.1, 1%s]]}'
+                    % ("0" * 400))
+    for argv in (["classify", "--structure", str(path)],
+                 ["theory", "--structure", str(path), "--bound", "ucb", "--n", "100"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "model 1, arm 1: mean 1000" in captured.err and not captured.out, argv
 
 
 def test_paper_suite_pull_checks():

@@ -1,6 +1,7 @@
 """Golden outputs: sha256 of every file that `run`, `gen` and `theory` write
 on tiny versions of the four paper-suite figures, plus `theory` (the regret
-floor among its bounds) and `classify` on a constant-regret structure.
+floor among its bounds) and `classify` on a constant-regret structure, and
+`theory` and `classify` on a full-size random structure with hard models.
 
 The digests pin today's numbers byte for byte, so a change that must leave
 outputs alone (a refactor, an optimisation) is checked here.  Update them
@@ -52,6 +53,16 @@ LOWER_THEORY_ARGS = ["theory", "--structure", "structure.json", "--bound", "lowe
                      "--bound", "const", "--bound", "sae", "--sequences",
                      *_LOWER_PARAMS, "--out", "theory.json"]
 LOWER_CLASSIFY_ARGS = ["classify", "--structure", "structure.json", *_LOWER_PARAMS]
+
+# a default-size random structure (150 models x 50 arms, 50 of them hard) at
+# the benchmark's theory parameters; its schedule removes arms over nine
+# phases, and without the staleness discount on removed arms it would differ
+FULL_GEN_ARGS = ["gen", "--builder", "random", "--out", "structure.json", "--seed", "30"]
+_FULL_PARAMS = ["--alpha", "4", "--beta", "2", "--n", "500000"]
+FULL_THEORY_ARGS = ["theory", "--structure", "structure.json", "--bound", "sae",
+                    "--bound", "asae", "--bound", "const", "--bound", "sucb", "--bound", "ucb",
+                    "--sequences", *_FULL_PARAMS, "--out", "theory.json"]
+FULL_CLASSIFY_ARGS = ["classify", "--structure", "structure.json", *_FULL_PARAMS]
 
 GOLDEN = {
     "fig3a": {
@@ -140,6 +151,14 @@ GOLDEN = {
         "theory.json":
             "d111188296a9806263fb50566bf17d9ed5dbf87975d91d03584b3e06ef9808d5",
     },
+    "full": {
+        "classify.json":
+            "5c347ffdb72ca1e830c11c5c9e2ab917ee3336c73924f4a12048e3ec5141a676",
+        "structure.json":
+            "094e94e2c123d7bdf14b4b62c013af63e0678998b587fb20ee5f44bd883e1d52",
+        "theory.json":
+            "6d323895947a0a9bbdcee254aabeaaab4159cc1796959e78b4a52c93f9790d3a",
+    },
     "lower": {
         "classify.json":
             "7fd59d172d58f4671f57f994a497d26d17a56b2a4fac7d50019f963017d58339",
@@ -194,6 +213,20 @@ def produce(workdir):
     finally:
         os.chdir(cwd)
     out["lower"] = _digests(target)
+    target = os.path.join(workdir, "full")
+    os.makedirs(target)
+    os.chdir(target)
+    try:
+        assert main(FULL_GEN_ARGS) == 0
+        assert main(FULL_THEORY_ARGS) == 0
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(FULL_CLASSIFY_ARGS) == 0
+        with open("classify.json", "w") as handle:
+            handle.write(printed.getvalue())
+    finally:
+        os.chdir(cwd)
+    out["full"] = _digests(target)
     return out
 
 

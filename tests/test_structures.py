@@ -140,6 +140,19 @@ def test_load_validation_messages(tmp_path):
     with pytest.raises(ValueError, match="model 0"):
         sb.load_structure(path)
 
+    # a JSON integer too large for a float, NaN, a bool or a string as a mean,
+    # and a tied maximum, each named by model and arm
+    huge = "1" + "0" * 400
+    for row, message in (([0.5, huge], r"model 1, arm 1: mean 1000+ outside \[0, 1\]"),
+                         (["0.5", "NaN"], r"model 1, arm 1: mean nan outside \[0, 1\]"),
+                         (["true", "0.5"], r"model 1, arm 0: mean True is not a number"),
+                         (['"0.5"', "0.2"], r"model 1, arm 0: mean '0.5' is not a number"),
+                         (["0.5", "0.5"], r"model 1, arms 0 and 1: tied optimal means")):
+        path = write('{"arm_count": 2, "true_index": 0, "models": [[0.5, 0.2], [%s]]}'
+                     % ", ".join(map(str, row)))
+        with pytest.raises(ValueError, match=message):
+            sb.load_structure(path)
+
     path = write("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         sb.load_structure(path)
