@@ -12,6 +12,7 @@ check once every output is written), 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -417,7 +418,11 @@ def _report_checks(checks: list[tuple[str, str, bool]], out: str) -> int:
     return 1 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main call
+    in this process: parse_args fills a fresh namespace each time and keeps
+    no state of its own."""
     parser = argparse.ArgumentParser(
         prog="structbandit",
         description="Structured-bandit simulation and theory toolkit")
@@ -475,8 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -3,7 +3,11 @@
 Runs are the unit of parallelism, except that all UCB1 runs of a batch
 step together in one lockstep task: run r of algorithm `a` always uses the
 seed sha256(base_seed:a:r), so raw results are identical for any worker
-count or algorithm ordering.  Aggregation is a deterministic fold in
+count or algorithm ordering.  Tasks go out longest first (the UCB1 block,
+then SUCB, ASAE and SAE runs) one at a time, and each worker receives the
+batch's structures once, when it starts, so a task carries only run
+indices.  Results never depend on this schedule: each goes back to its
+(algorithm, run) slot, and aggregation is a deterministic fold in
 run-index order.  Output CSVs hold regret trajectories and per-arm pull
 counts with confidence half-widths; the manifest records everything needed
 to reproduce them byte for byte (and deliberately nothing that would not
@@ -205,14 +209,30 @@ def t_interval(samples, level: float = 0.95) -> tuple[float, float]:
     return mean, quantile * math.sqrt(variance / count)
 
 
+# Longest-processing-time-first list scheduling (Graham 1969), by measured
+# cost: UCB1's lockstep task outlasts any one run, SUCB's runs ASAE's or SAE's.
+_DISPATCH_ORDER = ("ucb1", "sucb", "asae", "sae")
+
+# the batch's structures in a pool worker, set once by the pool's initializer
+_worker_structures: tuple[Structure, ...] = ()
+
+
+def _install(structures: tuple[Structure, ...]) -> None:
+    global _worker_structures
+    _worker_structures = structures
+
+
 def _run_task(structures: tuple[Structure, ...], agent_config: AgentConfig, horizon: int,
-              checkpoints: tuple[int, ...], seeds: tuple[int, ...]) -> tuple[RunResult, ...]:
-    """Runs (structures[i], seeds[i]) of one agent: UCB1's all together in
-    its lockstep kernel, any other agent's (one per task) on simulate."""
+              checkpoints: tuple[int, ...], runs: tuple[int, ...],
+              seeds: tuple[int, ...]) -> tuple[RunResult, ...]:
+    """Run r = runs[i] of one agent on (structures[r], seeds[i]): UCB1's all
+    together in its lockstep kernel, any other agent's (one per task) on
+    simulate."""
     try:
+        picked = tuple(structures[r] for r in runs)
         if agent_config.algorithm == "ucb1":
-            return simulate_ucb1(structures, agent_config, horizon, checkpoints, seeds)
-        (structure,), (seed,) = structures, seeds
+            return simulate_ucb1(picked, agent_config, horizon, checkpoints, seeds)
+        (structure,), (seed,) = picked, seeds
         agent = make_agent(structure, agent_config)
         return (simulate(agent, Environment(structure, seed), horizon, checkpoints),)
     except Exception as exc:
@@ -221,11 +241,13 @@ def _run_task(structures: tuple[Structure, ...], agent_config: AgentConfig, hori
                            f"seed={seeds[0]}{block}: {exc}") from exc
 
 
-def _aggregate(algorithm: str, runs: tuple[RunResult, ...],
-               checkpoints: tuple[int, ...], level: float) -> AggregateResult:
+def _worker_task(*task) -> tuple[RunResult, ...]:
+    return _run_task(_worker_structures, *task)
+
+
+def _aggregate(algorithm: str, runs: tuple[RunResult, ...], checkpoints: tuple[int, ...],
+               level: float, scale: float) -> AggregateResult:
     count = len(runs)
-    quantile = student_t_quantile(0.5 * (1.0 + level), count - 1)
-    scale = quantile / math.sqrt(count)
     regret = np.array([r.regret for r in runs], dtype=np.float64)
     pulls = np.array([r.pull_counts for r in runs], dtype=np.float64)
     return AggregateResult(
@@ -241,13 +263,13 @@ def _aggregate(algorithm: str, runs: tuple[RunResult, ...],
     )
 
 
-def _run_and_aggregate(config: ExperimentConfig, structures: list[Structure],
+def _run_and_aggregate(config: ExperimentConfig, structures: tuple[Structure, ...],
                        workers: int) -> BatchResult:
     """Run every (algorithm, run) pair, run r on structures[r], and fold each
     algorithm's runs in run-index order.
 
     A task is one run, except for UCB1, whose runs all go in one task to
-    its lockstep kernel.
+    its lockstep kernel.  Tasks go out in _DISPATCH_ORDER, one at a time.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -258,30 +280,27 @@ def _run_and_aggregate(config: ExperimentConfig, structures: list[Structure],
             agent_config = replace(agent_config, horizon=config.horizon)
         seeds = tuple(stream_seed(config.base_seed, agent_config.algorithm, run)
                       for run in range(config.runs))
-        if agent_config.algorithm == "ucb1":
-            # UCB1 never sees the model set, so its task carries only each
-            # run's true model and reward: a worker holding all R runs at
-            # once then needs little more memory than one holding one run
-            blind = tuple(Structure((s.true_model,), 0, s.reward) for s in structures)
-            tasks.append((blind, agent_config, config.horizon, checkpoints, seeds))
-            continue
-        for run in range(config.runs):
-            tasks.append(((structures[run],), agent_config, config.horizon, checkpoints,
-                          seeds[run:run + 1]))
+        groups = ([tuple(range(config.runs))] if agent_config.algorithm == "ucb1"
+                  else [(run,) for run in range(config.runs)])
+        tasks += [(agent_config, config.horizon, checkpoints, group,
+                   tuple(seeds[run] for run in group)) for group in groups]
+    tasks.sort(key=lambda task: _DISPATCH_ORDER.index(task[0].algorithm))
     if workers == 1:
-        blocks = [_run_task(*task) for task in tasks]
+        blocks = [_run_task(structures, *task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_task, *zip(*tasks), chunksize=chunk))
-    results = [result for block in blocks for result in block]
-    runs: dict[str, tuple[RunResult, ...]] = {}
-    aggregates: dict[str, AggregateResult] = {}
-    for index, agent_config in enumerate(config.agents):
-        tag = agent_config.algorithm
-        block = tuple(results[index * config.runs:(index + 1) * config.runs])
-        runs[tag] = block
-        aggregates[tag] = _aggregate(tag, block, checkpoints, config.level)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_install,
+                                 initargs=(structures,)) as pool:
+            blocks = list(pool.map(_worker_task, *zip(*tasks), chunksize=1))
+    slots = {agent_config.algorithm: [None] * config.runs for agent_config in config.agents}
+    for (agent_config, _, _, indices, _), block in zip(tasks, blocks):
+        for run, result in zip(indices, block):
+            slots[agent_config.algorithm][run] = result
+    # every algorithm has the same run count and level, so one t quantile
+    scale = (student_t_quantile(0.5 * (1.0 + config.level), config.runs - 1)
+             / math.sqrt(config.runs))
+    runs = {tag: tuple(block) for tag, block in slots.items()}
+    aggregates = {tag: _aggregate(tag, block, checkpoints, config.level, scale)
+                  for tag, block in runs.items()}
     return BatchResult(config=config, aggregates=aggregates, runs=runs)
 
 
@@ -289,10 +308,10 @@ def run_batch(config: ExperimentConfig, workers: int = 1) -> BatchResult:
     """Run every (algorithm, run) pair and aggregate per algorithm.
 
     Results depend only on the config: seeds derive from (base_seed,
-    algorithm, run index), tasks are collected in submission order, and the
-    per-algorithm fold follows run index.
+    algorithm, run index), each result goes back to its (algorithm, run)
+    slot whatever the schedule, and the per-algorithm fold follows run index.
     """
-    return _run_and_aggregate(config, [config.structure] * config.runs, workers)
+    return _run_and_aggregate(config, (config.structure,) * config.runs, workers)
 
 
 def run_randomized_batch(spec: GeneratorSpec, agents: tuple[AgentConfig, ...],
@@ -306,8 +325,9 @@ def run_randomized_batch(spec: GeneratorSpec, agents: tuple[AgentConfig, ...],
     each run's own true model.  The returned config embeds run 0's structure
     as a representative; the generator parameters travel in its provenance.
     """
-    structures = [generate_random(replace(spec, seed=stream_seed(base_seed, "structure", run)))
-                  for run in range(runs)]
+    structures = tuple(
+        generate_random(replace(spec, seed=stream_seed(base_seed, "structure", run)))
+        for run in range(runs))
     config = ExperimentConfig(
         structure=structures[0], agents=tuple(agents), horizon=horizon,
         runs=runs, base_seed=base_seed, checkpoints=checkpoints, level=level,

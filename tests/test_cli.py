@@ -338,6 +338,25 @@ def test_theory_builds_schedule_once(right_structure_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_main_calls_share_no_state(right_structure_file, capsys):
+    # one parser serves every call in the process; no call sees another's flags
+    assert cli._parser() is cli._parser()
+    assert main(["theory", "--structure", right_structure_file, "--bound", "sucb",
+                 "--bound", "ucb", "--sequences", "--beta", "2", "--n", "1000"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--structure", right_structure_file]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "in_worst_case", "in_optimality", "in_constant_regret"}
+    assert main(["theory", "--structure", right_structure_file, "--bound", "asae",
+                 "--n", "1000"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert [b["name"] for b in first["bounds"]] == [
+        "optimistic_confidence_set", "index_policy_reference"]
+    assert first["sequences"]["beta"] == 2.0
+    assert [b["name"] for b in second["bounds"]] == ["anytime_phased_elimination"]
+    assert "sequences" not in second
+
+
 def test_theory_usage_errors(right_structure_file, capsys):
     assert main(["theory", "--structure", right_structure_file,
                  "--bound", "sae"]) == 2

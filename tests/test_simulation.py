@@ -15,6 +15,12 @@ from structbandit.algorithms import simulate_ucb1
 # published two-sided 97.5% quantiles
 T_TABLE = {1: 12.706, 10: 2.2281, 99: 1.9842}
 
+# the paper-suite agents, in the suite's order
+SUITE = (sb.AgentConfig("sae", alpha=2.0, beta=1.0),
+         sb.AgentConfig("asae", alpha=2.0, beta=1.0, eta=0.1),
+         sb.AgentConfig("sucb", alpha=2.0), sb.AgentConfig("ucb1", alpha=2.0))
+SMALL_SPEC = sb.GeneratorSpec(arm_count=5, base_model_count=6, hard_model_count=2)
+
 
 @pytest.fixture(scope="module")
 def fig_right():
@@ -134,6 +140,19 @@ def test_run_batch_invariants(fig_right, small_batch):
         finals = [r.final_regret() for r in batch.runs[tag]]
         assert min(finals) <= agg.mean_regret[-1] <= max(finals)
         assert sum(agg.mean_pulls) == pytest.approx(300.0, rel=1e-12)
+
+
+def test_one_t_quantile_per_batch(small_batch, monkeypatch):
+    calls = []
+
+    def counting(p, df):
+        calls.append((p, df))
+        return sb.student_t_quantile(p, df)
+
+    monkeypatch.setattr(sb.simulation, "student_t_quantile", counting)
+    config, batch = small_batch
+    assert sb.run_batch(config).aggregates == batch.aggregates
+    assert calls == [(0.975, 3)]
 
 
 def test_run_batch_worker_independence(small_batch):
@@ -270,8 +289,10 @@ def test_ucb1_lockstep_failure_names_run(fig_right):
         simulate_ucb1((broken, broken), sb.AgentConfig("ucb1"), 10, None, seeds)
     config = sb.ExperimentConfig(structure=broken, agents=(sb.AgentConfig("ucb1"),),
                                  horizon=10, runs=2, checkpoints=(10,))
-    with pytest.raises(RuntimeError, match=r"algorithm='ucb1' seed=\d+.*reward must be finite"):
-        sb.run_batch(config)
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError,
+                           match=r"algorithm='ucb1' seed=\d+.*reward must be finite"):
+            sb.run_batch(config, workers=workers)
 
 
 def test_ucb1_lockstep_contracts(fig_right):
@@ -287,6 +308,52 @@ def test_ucb1_lockstep_contracts(fig_right):
         simulate_ucb1((fig_right, gaussian), config, 10, None, (1, 2))
     with pytest.raises(ValueError, match="checkpoints"):
         simulate_ucb1((fig_right,), config, 10, (5, 3), (1,))
+
+
+def test_dispatch_longest_first_with_installed_structures(monkeypatch):
+    calls = []
+
+    class Recording(sb.simulation.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            calls.append(kwargs)
+            super().__init__(**kwargs)
+
+        def map(self, fn, *iterables, timeout=None, chunksize=1):
+            tasks = list(zip(*iterables))
+            calls.append((tasks, chunksize))
+            return super().map(fn, *zip(*tasks), timeout=timeout, chunksize=chunksize)
+
+    monkeypatch.setattr(sb.simulation, "ProcessPoolExecutor", Recording)
+    args = (SMALL_SPEC, SUITE, 200)
+    kwargs = dict(runs=3, base_seed=4, checkpoints=(100, 200))
+    parallel = sb.run_randomized_batch(*args, workers=2, **kwargs)
+    (pool, (tasks, chunksize)) = calls
+    assert chunksize == 1
+    # the UCB1 lockstep block first, then one task per run by falling cost
+    assert [(task[0].algorithm, task[3]) for task in tasks] == [("ucb1", (0, 1, 2))] + [
+        (tag, (run,)) for tag in ("sucb", "asae", "sae") for run in range(3)]
+    # each worker gets the structures once; a task carries run indices only
+    structures = pool["initargs"][0]
+    assert structures == tuple(
+        sb.generate_random(replace(SMALL_SPEC, seed=sb.stream_seed(4, "structure", r)))
+        for r in range(3))
+    assert not any(isinstance(field, sb.Structure) for task in tasks for field in task)
+    serial = sb.run_randomized_batch(*args, **kwargs)
+    assert len(calls) == 2
+    assert sb.simulation._worker_structures == ()
+    assert list(serial.runs) == list(parallel.runs) == [a.algorithm for a in SUITE]
+    assert serial.runs == parallel.runs and serial.aggregates == parallel.aggregates
+
+
+def test_randomized_batch_files_identical_across_workers(tmp_path):
+    written = []
+    for workers in (1, 2, 3):
+        batch = sb.run_randomized_batch(SMALL_SPEC, SUITE, horizon=300, runs=4,
+                                        base_seed=9, workers=workers)
+        paths = sb.write_batch(str(tmp_path / str(workers)), batch)
+        written.append({key: open(path, "rb").read() for key, path in paths.items()})
+    assert len(written[0]) == 9
+    assert written[0] == written[1] == written[2]
 
 
 def test_write_batch_files(tmp_path, small_batch):
