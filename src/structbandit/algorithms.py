@@ -21,12 +21,15 @@ period boundaries no reward changes an eliminator's arm: it plays a round
 robin fixed by its counts and phase target, or one settled arm (the lone
 active arm, or the empty-set fallback), so its play is that whole block:
 ``Environment.take`` hands out the block's rewards from the chunk and the
-agent folds them into its counts at once.  SUCB's arm changes only with its
-confidence set, so after a select/observe step its play goes on with that
-arm while a per-step check proves that a select would change nothing.
-``simulate`` folds each play's regret left to right, so every output keeps
-the bits of the step-by-step path.  The scalar ``select``/``observe`` path
-stays the public interface and the tests' oracle.
+agent folds them into its counts at once (a settled arm's Bernoulli
+rewards only as their count of ones, ``Environment.hits``).  SUCB's arm
+changes only with its confidence set, so after a select/observe step its
+play goes on with that arm while a per-step check proves that a select
+would change nothing.  ``simulate`` folds a round robin's regret left to
+right and adds a one-arm play's constant gap in exact integer ulps, one
+binade at a time (``_repeat_add``), so every output keeps the bits of the
+step-by-step path.  The scalar ``select``/``observe`` path stays the public
+interface and the tests' oracle.
 
 UCB1's arm choice depends on every reward, so it has no blocks; instead
 ``simulate_ucb1`` steps the R runs of a batch together on R x K arrays,
@@ -50,6 +53,8 @@ ALGORITHMS = ("sae", "asae", "sucb", "ucb1")
 
 _DRAW_CHUNK = 8192
 _FLOAT_MAX = sys.float_info.max
+# a binade of ulp u spans [2^52 u, 2^53 u)
+_BINADE_TOP = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,49 @@ def _fold(total: float, values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
+def _repeat_add(total: float, gap: float, k: int, marks: list[int]) -> tuple[list[float], float]:
+    """The values after each step in `marks` (sorted, in [1, k]) and after
+    step k of x <- x + gap from x = total, with the bits of k float
+    additions in a few integer operations per binade.
+
+    Let x >= gap lie in a binade of ulp u (every x < 2^-1021 has u =
+    2^-1074), x = X*u, and gap = (q + f)*u, q an integer and 0 <= f < 1
+    (gap/u is exact, or underflows only where D = 0 below).  The exact sum
+    (X + q + f)*u rounds to (X + D)*u, D = q for f < 1/2 and q + 1 for
+    f > 1/2, whatever X, while X + D < 2^53 keeps it in the binade.  So a
+    binade's steps are X + j*D in exact integer ulps.  Single float
+    additions take the other steps: x < gap, the one binade where f = 1/2
+    (a tie rounds to even, so D depends on X) and the step into the next
+    binade.  D = 0 means x + gap == x for good.
+    """
+    out, i = [], 0
+    x, j = total, 0
+    while j < k:
+        n = 0
+        if gap <= x:
+            u = math.ulp(x)
+            frac, units = math.modf(gap / u)
+            if frac != 0.5:
+                step = int(units) + (frac > 0.5)
+                if not step:
+                    return out + [x] * (len(marks) - i), x
+                base = int(x / u)
+                n = min((_BINADE_TOP - 1 - base) // step, k - j)
+        if n:
+            while i < len(marks) and marks[i] <= j + n:
+                out.append((base + (marks[i] - j) * step) * u)
+                i += 1
+            x = (base + n * step) * u
+            j += n
+        else:
+            x += gap
+            j += 1
+            while i < len(marks) and marks[i] == j:
+                out.append(x)
+                i += 1
+    return out, x
+
+
 def _empirical_best(pulls: list[int], rewards: list[float]) -> int:
     """Best empirical-mean arm among pulled ones, lowest index on ties."""
     best, best_mean = -1, -math.inf
@@ -232,6 +280,8 @@ class _EliminationAgent(_Agent):
         self._margin = (1.0 + 1.0 / config.beta) ** 2
         self._all_models = tuple(range(structure.model_count))
         self._history: list[PhaseRecord] = []
+        # _model_set's memo: ASAE's carried set recurs at each period start
+        self._model_sets: dict[tuple[int, ...], tuple] = {}
         self._period = 0
         self._start_period(horizon, self._all_models)
 
@@ -247,9 +297,10 @@ class _EliminationAgent(_Agent):
     def _start_period(self, horizon: int, models) -> None:
         self._period_horizon = horizon
         self._log_nk = math.log(horizon)
-        self._base_models = tuple(models)
+        # the period's base models and their rows of the means matrix
+        self._base_models, self._base_means, arms = self._model_set(models)
         self._active_models = list(models)
-        self._active_arms = sorted(optimal_arm_set(self.structure, models))
+        self._active_arms = sorted(arms)
         self._period_start = list(self._pulls)
         self._phase = 0
         self._threshold = 1.0
@@ -319,7 +370,11 @@ class _EliminationAgent(_Agent):
                 n += reps * len(live)
             block = np.concatenate(passes)[:limit]
             limit = len(block)
-        self._observe_block(block, env.take(block, limit))
+        if isinstance(block, np.ndarray) or not self._reward.kind == env.reward.kind == "bernoulli":
+            self._observe_block(block, env.take(block, limit))
+        else:
+            # rewards drawn as 0/1 need no check, and their sum is a count
+            self._observe_settled(block, limit, self._rewards[block] + env.hits(block, limit))
         return block, limit
 
     def _observe_block(self, arms: int | np.ndarray, rewards: np.ndarray) -> None:
@@ -335,24 +390,30 @@ class _EliminationAgent(_Agent):
         ok = (rewards == 0.0) | (rewards == 1.0) if bernoulli else np.isfinite(rewards)
         if not ok.all():
             self._check_reward(float(rewards[np.argmin(ok)]))
-        if np.ndim(arms):
-            last = int(arms[-1])
-            self._rr_pos = (self._active_arms.index(last) + 1) % len(self._active_arms)
-            counts = np.bincount(arms, minlength=self.arm_count).tolist()
-            if bernoulli:
-                ones = np.bincount(arms, weights=rewards, minlength=self.arm_count).tolist()
-            for a, count in enumerate(counts):
-                if count:
-                    self._pulls[a] += count
-                    self._rewards[a] = (self._rewards[a] + ones[a] if bernoulli
-                                        else _fold(self._rewards[a], rewards[arms == a]))
-        else:
-            last = arms
-            self._pulls[arms] += len(rewards)
-            self._rewards[arms] = (self._rewards[arms] + float(np.count_nonzero(rewards))
-                                   if bernoulli else _fold(self._rewards[arms], rewards))
+        if not isinstance(arms, np.ndarray):
+            total = self._rewards[arms]
+            self._observe_settled(arms, len(rewards), total + float(np.count_nonzero(rewards))
+                                  if bernoulli else _fold(total, rewards))
+            return
+        last = int(arms[-1])
+        self._rr_pos = (self._active_arms.index(last) + 1) % len(self._active_arms)
+        counts = np.bincount(arms, minlength=self.arm_count).tolist()
+        if bernoulli:
+            ones = np.bincount(arms, weights=rewards, minlength=self.arm_count).tolist()
+        for a, count in enumerate(counts):
+            if count:
+                self._pulls[a] += count
+                self._rewards[a] = (self._rewards[a] + ones[a] if bernoulli
+                                    else _fold(self._rewards[a], rewards[arms == a]))
         self._step += len(rewards)
         self._after_observe(last)
+
+    def _observe_settled(self, arm: int, k: int, total: float) -> None:
+        """Observe k pulls of one arm that leave its reward sum at total."""
+        self._pulls[arm] += k
+        self._rewards[arm] = total
+        self._step += k
+        self._after_observe(arm)
 
     def _after_observe(self, arm: int) -> None:
         self._catch_up()
@@ -369,7 +430,7 @@ class _EliminationAgent(_Agent):
 
     def _advance_phase(self) -> None:
         kept = self._filter_models()
-        keep = optimal_arm_set(self.structure, kept) if kept else ()
+        keep = self._model_set(kept)[2] if kept else ()
         arms = [a for a in self._active_arms if a in keep]
         self._active_models = kept
         self._active_arms = arms
@@ -399,9 +460,19 @@ class _EliminationAgent(_Agent):
         counts = pulls[pulled]
         means = np.array(self._rewards)[pulled] / counts
         radii = np.sqrt(self.config.alpha * self._log_nk / counts)
-        base = np.array(self._base_models)
-        near = np.abs(self.structure.means[base][:, pulled] - means) < radii
-        return base[near.all(axis=1)].tolist()
+        near = np.abs(self._base_means[:, pulled] - means) < radii
+        return self._base_models[near.all(axis=1)].tolist()
+
+    def _model_set(self, models) -> tuple[np.ndarray, np.ndarray, frozenset[int]]:
+        """The models as an index array, their rows of the means matrix and
+        their optimal arms."""
+        key = tuple(models)
+        found = self._model_sets.get(key)
+        if found is None:
+            index = np.array(key)
+            found = (index, self.structure.means[index], optimal_arm_set(self.structure, key))
+            self._model_sets[key] = found
+        return found
 
     def snapshot(self) -> AgentState:
         return AgentState(
@@ -733,6 +804,13 @@ class Environment:
             return (draws < means).astype(np.float64)
         return means + self._sigma * draws
 
+    def hits(self, arm: int, k: int) -> int:
+        """Ones among the Bernoulli rewards of the next k <= room() pulls
+        of arm, as take would give them."""
+        draws = self._buf[self._pos:self._pos + k]
+        self._pos += k
+        return int(np.count_nonzero(draws < self._means[arm]))
+
     def draw_list(self) -> list[float]:
         """The current draw chunk as a list; the draws from _pos on are unread."""
         if self._list is None:
@@ -790,12 +868,16 @@ def simulate(agent, environment: Environment, horizon: int,
     the current draw chunk.  An eliminator plays blocks up to its next
     decision (see the module docstring), SUCB a select/observe step with
     the stretch that follows it, UCB1 and any other object with
-    select/observe one select/pull/observe step.
+    select/observe one select/pull/observe step.  The regret of a play of
+    one arm, k additions of one gap, is computed in closed form with the
+    bits of adding one at a time (``_repeat_add``); that of a round robin
+    is folded left to right.
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
     cps = _checkpoint_list(horizon, checkpoints)
-    gap_array = np.array(true_gaps(environment.structure))
+    gaps = true_gaps(environment.structure)
+    gap_array = np.array(gaps)
     play = agent._play if isinstance(agent, _Agent) else partial(_Agent._play, agent)
     start = time.perf_counter()
     regret = 0.0
@@ -805,22 +887,26 @@ def simulate(agent, environment: Environment, horizon: int,
     t = 0
     while t < horizon:
         arms, k = play(environment, min(horizon - t, environment.room()))
-        # partial sums keep the bits of `regret += gap` step by step: one
-        # addition, or add.accumulate, which folds strictly left to right
-        # (a pairwise sum or k * gap would not)
-        if k == 1:
-            folded = (regret, regret + gap_array[arms].item())
-        else:
+        marks = []
+        while pos < len(cps) and cps[pos] <= t + k:
+            marks.append(cps[pos] - t)
+            pos += 1
+        # partial sums keep the bits of `regret += gap` step by step (a
+        # pairwise sum or k * gap would not): one arm's gap is added in
+        # closed form, a round robin's gaps by add.accumulate, which folds
+        # strictly left to right
+        if isinstance(arms, np.ndarray):
             increments = np.empty(k + 1)
             increments[0] = regret
             increments[1:] = gap_array[arms]
             folded = np.add.accumulate(increments)
+            out += folded[marks].tolist()
+            regret = float(folded[k])
+        else:
+            values, regret = _repeat_add(regret, gaps[arms], k, marks)
+            out += values
         if actions is not None:
             actions.extend(np.broadcast_to(arms, k).tolist())
-        while pos < len(cps) and cps[pos] <= t + k:
-            out.append(float(folded[cps[pos] - t]))
-            pos += 1
-        regret = float(folded[k])
         t += k
     return RunResult(
         algorithm=agent.config.algorithm,

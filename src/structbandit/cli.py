@@ -84,18 +84,56 @@ def _load_structure(path: str) -> Structure:
         raise UsageError(str(exc))
 
 
+def _strict_int(value, field: str) -> int:
+    """A JSON integer (not a bool) that a float can hold, else a
+    UsageError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"config field '{field}' must be an integer, got {value!r}")
+    return _float_sized(value, field)
+
+
+def _strict_number(value, field: str) -> int | float:
+    """A JSON number (not a bool), else a UsageError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"config field '{field}' must be a number, got {value!r}")
+    return value
+
+
+def _strict_float(value, field: str) -> float:
+    """A JSON number (not a bool) as a float, else a UsageError naming the field."""
+    return float(_float_sized(_strict_number(value, field), field))
+
+
+def _strict_bool(value, field: str) -> bool:
+    """A JSON bool, else a UsageError naming the field."""
+    if not isinstance(value, bool):
+        raise UsageError(f"config field '{field}' must be true or false, got {value!r}")
+    return value
+
+
+def _float_sized(value: int | float, field: str) -> int | float:
+    # an int compares with the largest float exactly
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise UsageError(f"config field '{field}' is an integer too large for a float")
+    return value
+
+
 # builder name -> (the entry's options parsed: a structure, or the random
-# builder's GeneratorSpec; gen flags -> those options)
+# builder's GeneratorSpec; gen flags -> those options; type checks on the
+# options, which GeneratorSpec makes itself)
 _BUILDERS = {
     "figure_left": (build_figure_left,
-                    lambda args: {"informative_arm2": not args.no_informative_arm2}),
+                    lambda args: {"informative_arm2": not args.no_informative_arm2},
+                    {"grid_per_region": _strict_int, "informative_arm2": _strict_bool}),
     "figure_right": (build_figure_right,
-                     lambda args: {"arm1_fourth_model": args.arm1_fourth}),
+                     lambda args: {"arm1_fourth_model": args.arm1_fourth},
+                     {"arm1_fourth_model": _strict_float}),
     "random": (GeneratorSpec,
                lambda args: {"arm_count": args.arms, "base_model_count": args.base_models,
                              "hard_model_count": args.hard_models,
                              "optimistic_scale": args.optimistic_scale,
-                             "shrink_factor": args.shrink_factor, "seed": args.seed or 0}),
+                             "shrink_factor": args.shrink_factor, "seed": args.seed or 0},
+               {}),
 }
 
 
@@ -120,28 +158,18 @@ def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | Gener
     builder = entry.get("builder")
     if not isinstance(builder, str) or builder not in _BUILDERS:
         raise UsageError(f"unknown structure builder {builder!r}")
+    make, _, checks = _BUILDERS[builder]
     options = {k: v for k, v in entry.items() if k != "builder"}
+    for name, check in checks.items():
+        if name in options:
+            options[name] = check(options[name], f"structure.{name}")
     try:
-        built = _BUILDERS[builder][0](**options)
+        built = make(**options)
         if isinstance(built, GeneratorSpec) and not fresh:
             built = generate_random(built)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad structure options for builder {builder!r}: {exc}")
     return built, builder
-
-
-def _strict_int(value, field: str) -> int:
-    """A JSON integer (not a bool), else a UsageError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"config field '{field}' must be an integer, got {value!r}")
-    return value
-
-
-def _strict_number(value, field: str) -> int | float:
-    """A JSON number (not a bool), else a UsageError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"config field '{field}' must be a number, got {value!r}")
-    return value
 
 
 # type checks on agent entry fields; null means unset for the nullable ones
@@ -179,7 +207,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     base_seed = args.seed
     if base_seed is None:
         base_seed = _strict_int(data.get("base_seed", 0), "base_seed")
-    level = float(_strict_number(data.get("level", 0.95), "level"))
+    level = _strict_float(data.get("level", 0.95), "level")
     checkpoints = data.get("checkpoints")
     if checkpoints is not None:
         if not isinstance(checkpoints, list):
@@ -188,10 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     entry = data.get("structure")
     if entry is None:
         raise UsageError("config is missing 'structure'")
-    fresh = data.get("fresh_structure_per_run", False)
-    if not isinstance(fresh, bool):
-        raise UsageError(
-            f"config field 'fresh_structure_per_run' must be true or false, got {fresh!r}")
+    fresh = _strict_bool(data.get("fresh_structure_per_run", False), "fresh_structure_per_run")
     try:
         if fresh:
             spec, _ = _structure_from_entry(entry, fresh=True)

@@ -129,6 +129,12 @@ def test_run_config_validation(tmp_path, capsys):
             assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, entry
             err = capsys.readouterr().err
             assert "agents[0]" in err and f"{field} must be finite" in err, entry
+    # so do the batch's integer fields and level, which exited 1 when a float
+    # was made of them
+    for field in ("horizon", "runs", "level"):
+        path.write_text(json.dumps({**base, field: None}).replace("null", "1" + "0" * 400))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, field
+        assert f"'{field}' is an integer too large for a float" in capsys.readouterr().err, field
     # SAE needs horizon >= 2, from its own entry or from the batch, before
     # any run is dispatched
     for config in ({**base, "agents": [{"algorithm": "sae", "horizon": 1}]},
@@ -224,6 +230,18 @@ def test_run_structure_entry_errors(tmp_path, capsys):
         assert messages[0] == messages[1]
         assert "bad structure options for builder 'random'" in messages[0]
         assert "arm_count" in messages[0]
+    # the figure builders' options are typed too: a number, not a string or a
+    # bool, that a float can hold; a bool; an integer
+    for builder, option, value in (("figure_right", "arm1_fourth_model", '"0.5"'),
+                                   ("figure_right", "arm1_fourth_model", "true"),
+                                   ("figure_right", "arm1_fourth_model", "1" + "0" * 400),
+                                   ("figure_left", "informative_arm2", "0"),
+                                   ("figure_left", "grid_per_region", "17.0"),
+                                   ("figure_left", "grid_per_region", "1" + "0" * 400)):
+        entry = f'{{"builder": "{builder}", "{option}": {value}}}'
+        path.write_text(json.dumps({**base, "structure": None}).replace("null", entry))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, entry
+        assert f"config field 'structure.{option}'" in capsys.readouterr().err, entry
     # a path entry takes no builder options
     structure_path = tmp_path / "s.json"
     sb.save_structure(sb.build_figure_right(), structure_path)

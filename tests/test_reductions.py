@@ -83,7 +83,8 @@ def test_filter_models_matches_oracle(structure, data):
     base = sorted(data.draw(st.sets(st.integers(0, structure.model_count - 1), min_size=1)))
     pulls = [data.draw(st.integers(0, 60)) for _ in range(structure.arm_count)]
     rewards = [float(data.draw(st.integers(0, count))) for count in pulls]
-    agent._base_models, agent._pulls, agent._rewards = tuple(base), pulls, rewards
+    agent._start_period(agent._period_horizon, base)
+    agent._pulls, agent._rewards = pulls, rewards
     assert agent._filter_models() == oracles.oracle_filter_models(
         structure, base, pulls, rewards, alpha, agent._log_nk)
 
