@@ -43,7 +43,6 @@ from .simulation import (
     run_randomized_batch,
     stream_seed,
     student_t_quantile,
-    t_interval,
     write_batch,
     write_pulls_csv,
     write_regret_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "models_with_optimal_arm", "omega", "optimal_arm_set", "optimistic_models",
     "psi", "regularized_incomplete_beta", "run_batch", "run_randomized_batch",
     "sae_bound", "save_structure", "simulate", "stream_seed",
-    "student_t_quantile", "suboptimality_gap", "sucb_bound", "t_interval",
-    "true_gaps", "ucb_reference_bound", "write_batch", "write_pulls_csv",
-    "write_regret_csv",
+    "student_t_quantile", "suboptimality_gap", "sucb_bound", "true_gaps",
+    "ucb_reference_bound", "write_batch", "write_pulls_csv", "write_regret_csv",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import shutil
@@ -32,7 +33,9 @@ from .structures import (
     build_figure_left,
     build_figure_right,
     generate_random,
+    json_value,
     load_structure,
+    read_json,
     save_structure,
 )
 from .theory import (
@@ -65,75 +68,45 @@ def _resolve_workers(flag_value: int | None) -> int:
     return flag_value
 
 
-def _load_json(path: str, what: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"{what} file not found: {path}")
+def _checked(call, *args):
+    """call(*args), with an OSError or a ValueError (an unreadable or bad
+    input) as a UsageError."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path} is not valid JSON: {exc}")
-
-
-def _load_structure(path: str) -> Structure:
-    if not os.path.exists(path):
-        raise UsageError(f"structure file not found: {path}")
-    try:
-        return load_structure(path)
-    except ValueError as exc:
+        return call(*args)
+    except (OSError, ValueError) as exc:
         raise UsageError(str(exc))
 
 
-def _strict_int(value, field: str) -> int:
-    """A JSON integer (not a bool) that a float can hold, else a
-    UsageError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"config field '{field}' must be an integer, got {value!r}")
-    return _float_sized(value, field)
+def _field(value, kind: str, name: str):
+    """``value`` if it is a JSON value of ``kind`` (see json_value), else a
+    UsageError naming the config field."""
+    return _checked(json_value, value, kind, f"config field '{name}'")
 
 
-def _strict_number(value, field: str) -> int | float:
-    """A JSON number (not a bool), else a UsageError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"config field '{field}' must be a number, got {value!r}")
-    return value
+_signature = functools.cache(inspect.signature)  # about 35 µs a call, the same every time
 
 
-def _strict_float(value, field: str) -> float:
-    """A JSON number (not a bool) as a float, else a UsageError naming the field."""
-    return float(_float_sized(_strict_number(value, field), field))
-
-
-def _strict_bool(value, field: str) -> bool:
-    """A JSON bool, else a UsageError naming the field."""
-    if not isinstance(value, bool):
-        raise UsageError(f"config field '{field}' must be true or false, got {value!r}")
-    return value
-
-
-def _float_sized(value: int | float, field: str) -> int | float:
-    # an int compares with the largest float exactly
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise UsageError(f"config field '{field}' is an integer too large for a float")
-    return value
+def _check_options(make, options: dict, where: str) -> None:
+    """Check every option that names a parameter of ``make`` against the
+    JSON kind of the parameter's annotation (a ValueError naming the config
+    field); ``make`` refuses any other option."""
+    parameters = _signature(make).parameters
+    for name, value in options.items():
+        if name in parameters:
+            json_value(value, parameters[name].annotation, f"config field '{where}.{name}'")
 
 
 # builder name -> (the entry's options parsed: a structure, or the random
-# builder's GeneratorSpec; gen flags -> those options; type checks on the
-# options, which GeneratorSpec makes itself)
+# builder's GeneratorSpec; gen flags -> those options)
 _BUILDERS = {
     "figure_left": (build_figure_left,
-                    lambda args: {"informative_arm2": not args.no_informative_arm2},
-                    {"grid_per_region": _strict_int, "informative_arm2": _strict_bool}),
-    "figure_right": (build_figure_right,
-                     lambda args: {"arm1_fourth_model": args.arm1_fourth},
-                     {"arm1_fourth_model": _strict_float}),
+                    lambda args: {"informative_arm2": not args.no_informative_arm2}),
+    "figure_right": (build_figure_right, lambda args: {"arm1_fourth_model": args.arm1_fourth}),
     "random": (GeneratorSpec,
                lambda args: {"arm_count": args.arms, "base_model_count": args.base_models,
                              "hard_model_count": args.hard_models,
                              "optimistic_scale": args.optimistic_scale,
-                             "shrink_factor": args.shrink_factor, "seed": args.seed or 0},
-               {}),
+                             "shrink_factor": args.shrink_factor, "seed": args.seed or 0}),
 }
 
 
@@ -145,25 +118,22 @@ def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | Gener
     if fresh and not (isinstance(entry, dict) and entry.get("builder") == "random"):
         raise UsageError("fresh_structure_per_run requires the 'random' builder")
     if isinstance(entry, str):
-        return _load_structure(entry), entry
+        entry = {"path": entry}
     if not isinstance(entry, dict):
         raise UsageError("structure entry must be a path string or a builder object")
     if "path" in entry:
         extra = sorted(key for key in entry if key != "path")
         if extra:
             raise UsageError(f"a structure entry with 'path' takes no other keys, got {extra}")
-        if not isinstance(entry["path"], str):
-            raise UsageError(f"structure entry 'path' must be a string, got {entry['path']!r}")
-        return _load_structure(entry["path"]), entry["path"]
+        path = _field(entry["path"], "str", "structure.path")
+        return _checked(load_structure, path), path
     builder = entry.get("builder")
     if not isinstance(builder, str) or builder not in _BUILDERS:
         raise UsageError(f"unknown structure builder {builder!r}")
-    make, _, checks = _BUILDERS[builder]
+    make = _BUILDERS[builder][0]
     options = {k: v for k, v in entry.items() if k != "builder"}
-    for name, check in checks.items():
-        if name in options:
-            options[name] = check(options[name], f"structure.{name}")
     try:
+        _check_options(make, options, "structure")
         built = make(**options)
         if isinstance(built, GeneratorSpec) and not fresh:
             built = generate_random(built)
@@ -172,21 +142,13 @@ def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | Gener
     return built, builder
 
 
-# type checks on agent entry fields; null means unset for the nullable ones
-_AGENT_FIELDS = {"horizon": _strict_int, "alpha": _strict_number, "beta": _strict_number,
-                 "eta": _strict_number, "sigma2": _strict_number}
-_NULLABLE_AGENT_FIELDS = ("horizon", "sigma2")
-
-
-def _agent_configs(entries) -> tuple[AgentConfig, ...]:
-    if not isinstance(entries, list) or not entries:
+def _agent_configs(entries: list) -> tuple[AgentConfig, ...]:
+    if not entries:
         raise UsageError("config needs a non-empty 'agents' list")
     configs = []
     for index, entry in enumerate(entries):
         if isinstance(entry, dict):
-            for name, check in _AGENT_FIELDS.items():
-                if name in entry and not (entry[name] is None and name in _NULLABLE_AGENT_FIELDS):
-                    check(entry[name], f"agents[{index}].{name}")
+            _checked(_check_options, AgentConfig, entry, f"agents[{index}]")
         try:
             configs.append(AgentConfig(**entry))
         except (TypeError, ValueError) as exc:
@@ -194,42 +156,45 @@ def _agent_configs(entries) -> tuple[AgentConfig, ...]:
     return tuple(configs)
 
 
+# a run config's fields: JSON kind and default; a field without a default is
+# required, and the structure entry is read by _structure_from_entry
+_RUN_FIELDS = {"horizon": ("int",), "agents": ("list",), "structure": (None,),
+               "runs": ("int", 100), "base_seed": ("int", 0), "level": ("float", 0.95),
+               "checkpoints": ("list | None", None), "fresh_structure_per_run": ("bool", False)}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers)
-    data = _load_json(args.config, "config")
+    data = _checked(read_json, args.config)
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    if "horizon" not in data:
-        raise UsageError("config is missing 'horizon'")
-    horizon = _strict_int(data["horizon"], "horizon")
-    agents = _agent_configs(data.get("agents"))
-    runs = _strict_int(data.get("runs", 100), "runs")
-    base_seed = args.seed
-    if base_seed is None:
-        base_seed = _strict_int(data.get("base_seed", 0), "base_seed")
-    level = _strict_float(data.get("level", 0.95), "level")
-    checkpoints = data.get("checkpoints")
+    unknown = sorted(set(data) - set(_RUN_FIELDS))
+    if unknown:
+        raise UsageError(f"unknown config fields {unknown}")
+    fields = {}
+    for name, (kind, *default) in _RUN_FIELDS.items():
+        if name not in data and not default:
+            raise UsageError(f"config is missing '{name}'")
+        fields[name] = value = data.get(name, *default)
+        if kind:
+            _field(value, kind, name)
+    agents = _agent_configs(fields["agents"])
+    base_seed = fields["base_seed"] if args.seed is None else args.seed
+    checkpoints = fields["checkpoints"]
     if checkpoints is not None:
-        if not isinstance(checkpoints, list):
-            raise UsageError(f"config field 'checkpoints' must be a list, got {checkpoints!r}")
-        checkpoints = tuple(_strict_int(c, f"checkpoints[{i}]") for i, c in enumerate(checkpoints))
-    entry = data.get("structure")
-    if entry is None:
-        raise UsageError("config is missing 'structure'")
-    fresh = _strict_bool(data.get("fresh_structure_per_run", False), "fresh_structure_per_run")
+        checkpoints = tuple(_field(c, "int", f"checkpoints[{i}]") for i, c in enumerate(checkpoints))
+    schedule = dict(runs=fields["runs"], base_seed=base_seed, checkpoints=checkpoints,
+                    level=fields["level"])
     try:
-        if fresh:
-            spec, _ = _structure_from_entry(entry, fresh=True)
-            batch = run_randomized_batch(
-                spec, agents, horizon, runs=runs, base_seed=base_seed,
-                checkpoints=checkpoints, level=level, workers=workers)
+        if fields["fresh_structure_per_run"]:
+            spec, _ = _structure_from_entry(fields["structure"], fresh=True)
+            batch = run_randomized_batch(spec, agents, fields["horizon"], workers=workers,
+                                         **schedule)
         else:
-            structure, source = _structure_from_entry(entry)
-            config = ExperimentConfig(
-                structure=structure, agents=agents, horizon=horizon, runs=runs,
-                base_seed=base_seed, checkpoints=checkpoints, level=level,
-                source=source)
-            batch = run_batch(config, workers=workers)
+            structure, source = _structure_from_entry(fields["structure"])
+            batch = run_batch(ExperimentConfig(structure=structure, agents=agents,
+                                               horizon=fields["horizon"], source=source,
+                                               **schedule), workers=workers)
     except ValueError as exc:
         raise UsageError(str(exc))
     paths = write_batch(args.out, batch)
@@ -265,7 +230,7 @@ def _sequences_document(sequences: TheorySequences) -> dict:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    structure = _load_structure(args.structure)
+    structure = _checked(load_structure, args.structure)
     requested = args.bound or []
     needs_n = {"sae", "asae", "sucb", "ucb"}
     if args.n is None and (needs_n.intersection(requested) or args.sequences):
@@ -309,7 +274,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    structure = _load_structure(args.structure)
+    structure = _checked(load_structure, args.structure)
     sequences = None
     if args.n is not None:
         try:

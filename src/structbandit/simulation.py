@@ -34,8 +34,8 @@ from .structures import GeneratorSpec, generate_random
 __all__ = [
     "AggregateResult", "BatchResult", "ExperimentConfig", "RunResult",
     "default_checkpoints", "regularized_incomplete_beta", "run_batch",
-    "run_randomized_batch", "stream_seed", "student_t_quantile", "t_interval",
-    "write_batch", "write_pulls_csv", "write_regret_csv",
+    "run_randomized_batch", "stream_seed", "student_t_quantile", "write_batch",
+    "write_pulls_csv", "write_regret_csv",
 ]
 
 
@@ -193,20 +193,6 @@ def student_t_quantile(p: float, df: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def t_interval(samples, level: float = 0.95) -> tuple[float, float]:
-    """Sample mean and Student-t half-width at the given confidence level."""
-    values = [float(v) for v in samples]
-    count = len(values)
-    if count < 2:
-        raise ValueError(f"need at least 2 samples, got {count}")
-    if not 0.5 < level < 1.0:
-        raise ValueError(f"level must be in (0.5, 1), got {level}")
-    mean = sum(values) / count
-    variance = sum((v - mean) ** 2 for v in values) / (count - 1)
-    quantile = student_t_quantile(0.5 * (1.0 + level), count - 1)
-    return mean, quantile * math.sqrt(variance / count)
 
 
 # Longest-processing-time-first list scheduling (Graham 1969), by measured

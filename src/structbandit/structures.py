@@ -2,14 +2,15 @@
 
 Two hand-coded three-region / four-region demonstration structures, a
 seeded random generator that plants optimistic variants of the true model,
-and JSON save/load with full validation.
+JSON save/load with full validation, and the one reader and field checker
+for every JSON input.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +20,39 @@ from .gaps import BanditModel, RewardSpec, Structure
 # nudged upward so the maximum is unique.
 _TIE_WIDTH = 1e-9
 _TIE_NUDGE = 1e-6
+
+
+# a JSON kind, as a constructor annotation names it -> (Python types, words)
+_JSON_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+               "bool": (bool, "true or false"), "str": (str, "a string"), "list": (list, "a list")}
+
+
+def json_value(value, kind: str, name: str):
+    """``value`` if it is a JSON value of ``kind``: "int", "float", "bool",
+    "str" or "list", optionally followed by "| None".  A bool is never a
+    number, an integer must fit in a float, and a float must be finite;
+    anything else raises a ValueError naming ``name``."""
+    base, _, nullable = kind.partition(" | ")
+    types, words = _JSON_KINDS[base]
+    if value is None and nullable == "None":
+        return value
+    # an int compares with the largest float exactly; nan and inf fail too
+    if (not isinstance(value, types) or isinstance(value, bool) != (base == "bool")
+            or base == "float" and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be {words}, got {value!r}")
+    if base == "int" and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} is an integer too large for a float")
+    return value
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``: an OSError if the
+    file cannot be read, a ValueError naming it if it holds no JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _nudge_ties(means: list[float]) -> list[float]:
@@ -144,10 +178,11 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("arm_count", "base_model_count", "hard_model_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for spec in fields(self):  # each field of the JSON kind its annotation names
+            try:
+                json_value(getattr(self, spec.name), spec.type, spec.name)
+            except ValueError as exc:
+                raise TypeError(str(exc)) from None
         if self.arm_count < 3:
             raise ValueError(
                 f"arm_count must be at least 3 so a hard model can raise one arm "
@@ -161,6 +196,8 @@ class GeneratorSpec:
             raise ValueError("optimistic_scale must be in (0, 1]")
         if not 0 < self.shrink_factor < 1:
             raise ValueError("shrink_factor must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_random(spec: GeneratorSpec) -> Structure:
@@ -232,71 +269,53 @@ def save_structure(structure: Structure, path) -> None:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
+# the structure file's required fields and their JSON kinds
+_FILE_FIELDS = {"arm_count": "int", "true_index": "int", "models": "list"}
+
+
 def load_structure(path) -> Structure:
     """Read and validate a structure document written by :func:`save_structure`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
-    for key in ("arm_count", "true_index", "models"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing required field {key!r}")
-    for key in ("arm_count", "true_index"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise ValueError(f"{path}: {key} must be an integer, got {doc[key]!r}")
-    arm_count = doc["arm_count"]
-    raw_models = doc["models"]
-    if not isinstance(raw_models, list) or not raw_models:
-        raise ValueError(f"{path}: 'models' must be a non-empty list of mean arrays")
-
-    models = []
-    for k, row in enumerate(raw_models):
-        if not isinstance(row, list) or len(row) != arm_count:
-            raise ValueError(
-                f"{path}: model {k} has {len(row) if isinstance(row, list) else 'no'} "
-                f"means, expected arm_count = {arm_count}"
-            )
-        # JSON numbers only (a bool is no number); BanditModel checks the values
-        if not set(map(type, row)) <= {int, float}:
-            i = next(i for i, m in enumerate(row) if type(m) not in (int, float))
-            raise ValueError(f"{path}: model {k}, arm {i}: mean {row[i]!r} is not a number")
-        try:
-            models.append(BanditModel(row))
-        except ValueError as exc:
-            raise ValueError(f"{path}: model {k}, {exc}") from exc
-
-    raw_reward = doc.get("reward", {"kind": "bernoulli", "params": {}})
-    if not isinstance(raw_reward, dict) or "kind" not in raw_reward:
-        raise ValueError(f"{path}: 'reward' must be an object with a 'kind' field")
-    params = raw_reward.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"{path}: reward.params must be an object, got {params!r}")
-    extra = sorted(set(params) - ({"variance"} if raw_reward["kind"] == "gaussian" else set()))
-    if extra:
-        raise ValueError(f"{path}: unknown reward.params {extra} for kind {raw_reward['kind']!r}")
+    doc = read_json(path)
     try:
-        if raw_reward["kind"] == "gaussian":
-            variance = params.get("variance", 1.0)
-            # json reads 1e400 as inf; ints compare exactly, so a huge one fails too
-            if (not isinstance(variance, (int, float)) or isinstance(variance, bool)
-                    or not abs(variance) <= sys.float_info.max):
-                raise ValueError(
-                    f"reward.params.variance must be a finite number, got {variance!r}")
-            reward = RewardSpec("gaussian", float(variance))
-        else:
-            reward = RewardSpec(raw_reward["kind"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object at top level")
+        unknown = sorted(set(doc) - {*_FILE_FIELDS, "reward", "provenance"})
+        if unknown:
+            raise ValueError(f"unknown fields {unknown}")
+        for key, kind in _FILE_FIELDS.items():
+            if key not in doc:
+                raise ValueError(f"missing required field {key!r}")
+            json_value(doc[key], kind, key)
+        if not doc["models"]:
+            raise ValueError("'models' must be a non-empty list of mean arrays")
+        models = []
+        for k, row in enumerate(doc["models"]):
+            if not isinstance(row, list) or len(row) != doc["arm_count"]:
+                raise ValueError(f"model {k} has {len(row) if isinstance(row, list) else 'no'} "
+                                 f"means, expected arm_count = {doc['arm_count']}")
+            # JSON numbers only (a bool is no number); BanditModel checks the values
+            if not set(map(type, row)) <= {int, float}:
+                i = next(i for i, m in enumerate(row) if type(m) not in (int, float))
+                raise ValueError(f"model {k}, arm {i}: mean {row[i]!r} is not a number")
+            try:
+                models.append(BanditModel(row))
+            except ValueError as exc:
+                raise ValueError(f"model {k}, {exc}") from exc
 
-    try:
-        return Structure(
-            models=tuple(models),
-            true_index=doc["true_index"],
-            reward=reward,
-            provenance=doc.get("provenance"),
-        )
+        reward = doc.get("reward", {"kind": "bernoulli"})
+        if (not isinstance(reward, dict) or "kind" not in reward
+                or not set(reward) <= {"kind", "params"}):
+            raise ValueError(f"'reward' must be an object of a 'kind' and optional 'params', "
+                             f"got {reward!r}")
+        params = reward.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"reward.params must be an object, got {params!r}")
+        extra = sorted(set(params) - ({"variance"} if reward["kind"] == "gaussian" else set()))
+        if extra:
+            raise ValueError(f"unknown reward.params {extra} for kind {reward['kind']!r}")
+        variance = json_value(params.get("variance", 1.0), "float", "reward.params.variance")
+        return Structure(models=tuple(models), true_index=doc["true_index"],
+                         reward=RewardSpec(reward["kind"], float(variance)),
+                         provenance=doc.get("provenance"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

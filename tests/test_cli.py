@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files, and cross-module wiring."""
 
+import inspect
 import json
 import os
 
@@ -45,6 +46,12 @@ def test_run_missing_config(tmp_path, capsys):
     assert main(["run", "--config", missing, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert missing in err
+    # a directory, and a file that is not UTF-8, are no config either
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"horizon": 50, "source": "caf\u00e9"}'.encode("latin-1"))
+    for path in (str(tmp_path), str(latin)):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2, path
+        assert path in capsys.readouterr().err, path
 
 
 def test_run_bad_json(tmp_path, capsys):
@@ -119,7 +126,7 @@ def test_run_config_validation(tmp_path, capsys):
                 path.write_text(json.dumps({**base, "agents": []}).replace("[]", f"[{entry}]"))
                 assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, entry
                 err = capsys.readouterr().err
-                assert "agents[0]" in err and f"{field} must be finite" in err, entry
+                assert f"'agents[0].{field}' must be a finite number" in err, entry
     # an integer too large for a float compares as finite unless the check
     # is made against the largest float
     for field in ("alpha", "beta", "eta", "sigma2"):
@@ -128,13 +135,23 @@ def test_run_config_validation(tmp_path, capsys):
             path.write_text(json.dumps({**base, "agents": []}).replace("[]", f"[{entry}]"))
             assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, entry
             err = capsys.readouterr().err
-            assert "agents[0]" in err and f"{field} must be finite" in err, entry
+            assert f"'agents[0].{field}' must be a finite number" in err, entry
     # so do the batch's integer fields and level, which exited 1 when a float
     # was made of them
-    for field in ("horizon", "runs", "level"):
+    for field, message in (("horizon", "is an integer too large for a float"),
+                           ("runs", "is an integer too large for a float"),
+                           ("level", "must be a finite number")):
         path.write_text(json.dumps({**base, field: None}).replace("null", "1" + "0" * 400))
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2, field
-        assert f"'{field}' is an integer too large for a float" in capsys.readouterr().err, field
+        assert f"'{field}' {message}" in capsys.readouterr().err, field
+    # an integer past Python's 4300-digit string limit is no JSON it reads
+    path.write_text(json.dumps({**base, "horizon": None}).replace("null", "1" * 5001))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"{path}: not valid JSON" in capsys.readouterr().err
+    # a misspelt key is refused, not ignored for its default
+    path.write_text(json.dumps({**base, "run": 3}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown config fields ['run']" in capsys.readouterr().err
     # SAE needs horizon >= 2, from its own entry or from the batch, before
     # any run is dispatched
     for config in ({**base, "agents": [{"algorithm": "sae", "horizon": 1}]},
@@ -237,7 +254,9 @@ def test_run_structure_entry_errors(tmp_path, capsys):
                                    ("figure_right", "arm1_fourth_model", "1" + "0" * 400),
                                    ("figure_left", "informative_arm2", "0"),
                                    ("figure_left", "grid_per_region", "17.0"),
-                                   ("figure_left", "grid_per_region", "1" + "0" * 400)):
+                                   ("figure_left", "grid_per_region", "1" + "0" * 400),
+                                   ("random", "optimistic_scale", "true"),
+                                   ("random", "shrink_factor", '"0.1"')):
         entry = f'{{"builder": "{builder}", "{option}": {value}}}'
         path.write_text(json.dumps({**base, "structure": None}).replace("null", entry))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, entry
@@ -252,7 +271,41 @@ def test_run_structure_entry_errors(tmp_path, capsys):
     # a path must be a string, not a number that open() reads as a descriptor
     path.write_text(json.dumps({**base, "structure": {"path": 3}}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "structure entry 'path' must be a string, got 3" in capsys.readouterr().err
+    assert "config field 'structure.path' must be a string, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_checks_every_annotated_field(tmp_path, capsys):
+    # agent entries and builder options are checked against the annotations
+    # of the constructors they go to, so a parameter added later is covered
+    # here without a new table
+    path = tmp_path / "c.json"
+    base = {"horizon": 50, "runs": 2, "agents": [{"algorithm": "sucb"}]}
+    builders = {sb.GeneratorSpec: "random", sb.build_figure_left: "figure_left",
+                sb.build_figure_right: "figure_right"}
+    cases = 0
+    for make in (sb.AgentConfig, *builders):
+        for name, parameter in inspect.signature(make).parameters.items():
+            kind = parameter.annotation.partition(" | ")[0]
+            for value in ["1"] + [True] * (kind != "bool") + [1.5] * (kind == "int"):
+                if make is sb.AgentConfig:
+                    where = "agents[0]"
+                    config = {**base, "structure": {"builder": "figure_right"},
+                              "agents": [{"algorithm": "sucb", name: value}]}
+                else:
+                    where = "structure"
+                    config = {**base, "structure": {"builder": builders[make], name: value}}
+                path.write_text(json.dumps(config))
+                case = (make.__name__, name, value)
+                assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, case
+                err = capsys.readouterr().err
+                if isinstance(value, str) and kind == "str":
+                    # of the right kind, so the constructor's own check refuses it
+                    assert where in err and f"'{name}'" in err, case
+                else:
+                    assert f"config field '{where}.{name}'" in err, case
+                cases += 1
+    assert cases == 35
     assert not (tmp_path / "o").exists()
 
 
@@ -302,6 +355,18 @@ def test_classify_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["classify", "--structure", missing]) == 2
     assert missing in capsys.readouterr().err
+    # a directory and a file that is not UTF-8, through --structure and a
+    # run config's structure entry
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"arm_count": 1, "provenance": "caf\u00e9"}'.encode("latin-1"))
+    config = tmp_path / "c.json"
+    for path in (str(tmp_path), str(latin)):
+        assert main(["classify", "--structure", path]) == 2, path
+        assert path in capsys.readouterr().err, path
+        config.write_text(json.dumps({"horizon": 50, "runs": 2, "structure": path,
+                                      "agents": [{"algorithm": "sucb"}]}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2, path
+        assert path in capsys.readouterr().err, path
 
 
 def test_classify_rejects_bool_true_index(right_structure_file, capsys):

@@ -69,21 +69,20 @@ def test_incomplete_beta_against_scipy():
         sb.regularized_incomplete_beta(0.0, 1.0, 0.5)
 
 
-def test_t_interval():
-    mean, half = sb.t_interval([3.0, 3.0, 3.0])
-    assert mean == 3.0 and half == 0.0
-    samples = [0.1, 0.4, 0.35, 0.2, 0.9, 0.55]
-    mean, half = sb.t_interval(samples, level=0.95)
-    ref_mean = sum(samples) / len(samples)
-    ref = scipy.stats.t.interval(
-        0.95, len(samples) - 1, loc=ref_mean,
-        scale=scipy.stats.sem(samples))
-    assert mean == pytest.approx(ref_mean, rel=1e-12)
-    assert half == pytest.approx((ref[1] - ref[0]) / 2, rel=1e-9)
-    with pytest.raises(ValueError):
-        sb.t_interval([1.0])
-    with pytest.raises(ValueError):
-        sb.t_interval([1.0, 2.0], level=0.3)
+def test_batch_half_width_against_scipy():
+    # the aggregate's t interval over the run regrets, at each checkpoint
+    batch = sb.run_batch(sb.ExperimentConfig(
+        structure=sb.build_figure_right(), agents=(sb.AgentConfig("sucb"),),
+        horizon=400, runs=6, base_seed=3, checkpoints=(100, 400), level=0.9))
+    aggregate = batch.aggregates["sucb"]
+    for c in range(2):
+        regrets = [run.regret[c] for run in batch.runs["sucb"]]
+        mean = sum(regrets) / len(regrets)
+        low, high = scipy.stats.t.interval(0.9, len(regrets) - 1, loc=mean,
+                                           scale=scipy.stats.sem(regrets))
+        assert high > low
+        assert aggregate.mean_regret[c] == pytest.approx(mean, rel=1e-12)
+        assert aggregate.regret_half_width[c] == pytest.approx((high - low) / 2, rel=1e-9)
 
 
 def test_stream_seed_stability():

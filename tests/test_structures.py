@@ -160,6 +160,12 @@ def test_load_validation_messages(tmp_path):
     with pytest.raises(FileNotFoundError):
         sb.load_structure(tmp_path / "absent.json")
 
+    # a misspelt key must not leave the Bernoulli default in place
+    path = write({"arm_count": 2, "true_index": 0, "models": [[0.5, 0.2]],
+                  "rewards": {"kind": "gaussian", "params": {"variance": 0.5}}})
+    with pytest.raises(ValueError, match=r"unknown fields \['rewards'\]"):
+        sb.load_structure(path)
+
     path = write({"arm_count": 2, "true_index": 5, "models": [[0.5, 0.2]]})
     with pytest.raises(ValueError):
         sb.load_structure(path)
