@@ -19,7 +19,7 @@ import os
 import shutil
 import sys
 
-from .algorithms import AgentConfig
+from .algorithms import ALGORITHMS, AgentConfig
 from .gaps import Structure, classify
 from .simulation import (
     BatchResult,
@@ -117,6 +117,9 @@ def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | Gener
     """
     if fresh and not (isinstance(entry, dict) and entry.get("builder") == "random"):
         raise UsageError("fresh_structure_per_run requires the 'random' builder")
+    if fresh and "seed" in entry:
+        raise UsageError("config field 'structure.seed' is not used with fresh_structure_per_run, "
+                         "which seeds each run's structure from base_seed")
     if isinstance(entry, str):
         entry = {"path": entry}
     if not isinstance(entry, dict):
@@ -149,6 +152,9 @@ def _agent_configs(entries: list) -> tuple[AgentConfig, ...]:
     for index, entry in enumerate(entries):
         if isinstance(entry, dict):
             _checked(_check_options, AgentConfig, entry, f"agents[{index}]")
+            if "algorithm" in entry and entry["algorithm"] not in ALGORITHMS:
+                raise UsageError(f"config field 'agents[{index}].algorithm' must be one of "
+                                 f"{ALGORITHMS}, got {entry['algorithm']!r}")
         try:
             configs.append(AgentConfig(**entry))
         except (TypeError, ValueError) as exc:
@@ -163,9 +169,10 @@ _RUN_FIELDS = {"horizon": ("int",), "agents": ("list",), "structure": (None,),
                "checkpoints": ("list | None", None), "fresh_structure_per_run": ("bool", False)}
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args.workers)
-    data = _checked(read_json, args.config)
+def _run_config(data, workers: int, seed: int | None, source: str | None = None) -> BatchResult:
+    """The batch that the run config ``data`` (as `run --config` reads it)
+    describes, with ``seed`` in place of its base_seed when given and
+    ``source`` in place of a fixed structure's source."""
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
     unknown = sorted(set(data) - set(_RUN_FIELDS))
@@ -179,36 +186,33 @@ def cmd_run(args: argparse.Namespace) -> int:
         if kind:
             _field(value, kind, name)
     agents = _agent_configs(fields["agents"])
-    base_seed = fields["base_seed"] if args.seed is None else args.seed
     checkpoints = fields["checkpoints"]
     if checkpoints is not None:
         checkpoints = tuple(_field(c, "int", f"checkpoints[{i}]") for i, c in enumerate(checkpoints))
-    schedule = dict(runs=fields["runs"], base_seed=base_seed, checkpoints=checkpoints,
-                    level=fields["level"])
+    schedule = dict(runs=fields["runs"], base_seed=fields["base_seed"] if seed is None else seed,
+                    checkpoints=checkpoints, level=fields["level"])
     try:
         if fields["fresh_structure_per_run"]:
             spec, _ = _structure_from_entry(fields["structure"], fresh=True)
-            batch = run_randomized_batch(spec, agents, fields["horizon"], workers=workers,
-                                         **schedule)
-        else:
-            structure, source = _structure_from_entry(fields["structure"])
-            batch = run_batch(ExperimentConfig(structure=structure, agents=agents,
-                                               horizon=fields["horizon"], source=source,
-                                               **schedule), workers=workers)
+            return run_randomized_batch(spec, agents, fields["horizon"], workers=workers,
+                                        **schedule)
+        structure, origin = _structure_from_entry(fields["structure"])
+        return run_batch(ExperimentConfig(structure=structure, agents=agents,
+                                          horizon=fields["horizon"], source=source or origin,
+                                          **schedule), workers=workers)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    workers = _resolve_workers(args.workers)
+    batch = _run_config(_checked(read_json, args.config), workers, args.seed)
     paths = write_batch(args.out, batch)
-    _print_batch_summary(batch)
+    for tag, aggregate in batch.aggregates.items():
+        print(f"{tag}: final regret {aggregate.mean_regret[-1]:.2f} +/- "
+              f"{aggregate.regret_half_width[-1]:.2f} ({aggregate.run_count} runs)")
     print(f"wrote {len(paths)} files to {args.out}")
     return 0
-
-
-def _print_batch_summary(batch: BatchResult) -> None:
-    for tag, aggregate in batch.aggregates.items():
-        mean = aggregate.mean_regret[-1]
-        half = aggregate.regret_half_width[-1]
-        print(f"{tag}: final regret {mean:.2f} +/- {half:.2f} "
-              f"({aggregate.run_count} runs)")
 
 
 def _sequences_document(sequences: TheorySequences) -> dict:
@@ -300,99 +304,81 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _separated(low_mean: float, low_half: float, high_mean: float, high_half: float) -> bool:
-    return low_mean + low_half < high_mean - high_half
+# the agents of every reference experiment but fig3c, which runs ASAE at eta 0.01
+_AGENTS = [{"algorithm": "sae", "alpha": 2.0, "beta": 1.0},
+           {"algorithm": "asae", "alpha": 2.0, "beta": 1.0, "eta": 0.1},
+           {"algorithm": "sucb", "alpha": 2.0}, {"algorithm": "ucb1", "alpha": 2.0}]
+
+# The reference experiments, figure id -> row.  "config" is the run config,
+# as `run --config` reads it, at full scale, and "desk_runs" its run count at
+# desk scale where that is smaller.  "source" is the manifest's structure
+# source where it is not the builder's name.  "checks" are _check's
+# arguments, and "fig4" labels the row's pull tables in fig4/.
+SUITE = {
+    "fig3a": {"config": {"structure": {"builder": "figure_left"}, "agents": _AGENTS,
+                         "horizon": 10000, "runs": 100},
+              "checks": (("regret", "asae", "sucb"), ("regret", "sae", "sucb"),
+                         ("regret", "sucb", "ucb1")), "fig4": "fig4a"},
+    # sae keeps arm 2 to its 1179-pull target here, so its regret does not
+    # undercut ucb1's; the structure shows in how soon it drops arm 1
+    "fig3b": {"config": {"structure": {"builder": "figure_left", "informative_arm2": False},
+                         "agents": _AGENTS, "horizon": 10000, "runs": 100},
+              "source": "figure_left_noninformative",
+              "checks": (("regret", "sucb", "sae"), ("pulls", "sae", "ucb1", 1)), "fig4": "fig4b"},
+    # model 2 is optimistic for arm 3, so sucb may pull it in a few runs
+    "fig3c": {"config": {"structure": {"builder": "figure_right"},
+                         "agents": [{"algorithm": "sae", "alpha": 2.0, "beta": 1.0},
+                                    {"algorithm": "asae", "alpha": 2.0, "beta": 1.0, "eta": 0.01},
+                                    {"algorithm": "sucb", "alpha": 2.0},
+                                    {"algorithm": "ucb1", "alpha": 2.0}],
+                         "horizon": 500000, "runs": 100},
+              "desk_runs": 25,
+              "checks": (("regret", "asae", "sucb"), ("regret", "sae", "sucb"),
+                         ("unpulled", "sucb", 3), ("pulls", "sucb", "asae", 3)), "fig4": "fig4c"},
+    "fig3d": {"config": {"structure": {"builder": "random"}, "fresh_structure_per_run": True,
+                         "agents": _AGENTS, "horizon": 10000, "runs": 100},
+              "checks": (("regret", "asae", "sucb"),)},
+}
 
 
-def _ordering_check(batch: BatchResult, low: str, high: str) -> tuple[str, bool]:
-    a = batch.aggregates[low]
-    b = batch.aggregates[high]
-    ok = _separated(a.mean_regret[-1], a.regret_half_width[-1],
-                    b.mean_regret[-1], b.regret_half_width[-1])
-    return f"regret({low}) < regret({high}) with separated CIs", ok
-
-
-def _pulls_check(batch: BatchResult, low: str, high: str, arm: int) -> tuple[str, bool]:
-    a = batch.aggregates[low]
-    b = batch.aggregates[high]
-    ok = _separated(a.mean_pulls[arm], a.pulls_half_width[arm],
-                    b.mean_pulls[arm], b.pulls_half_width[arm])
-    return f"pulls of arm {arm}: {low} < {high} with separated CIs", ok
-
-
-def _unpulled_check(batch: BatchResult, tag: str, arm: int) -> tuple[str, bool]:
-    runs = batch.runs[tag]
-    unpulled = sum(run.pull_counts[arm] == 0 for run in runs)
-    return (f"{tag} leaves arm {arm} unpulled in most runs "
-            f"({unpulled}/{len(runs)})", 2 * unpulled > len(runs))
-
-
-def _suite_agents(eta: float) -> tuple[AgentConfig, ...]:
-    return (
-        AgentConfig("sae", alpha=2.0, beta=1.0),
-        AgentConfig("asae", alpha=2.0, beta=1.0, eta=eta),
-        AgentConfig("sucb", alpha=2.0),
-        AgentConfig("ucb1", alpha=2.0),
-    )
+def _check(batch: BatchResult, kind: str, *args) -> tuple[str, bool]:
+    """One suite check's line and verdict.  ("regret", low, high) and
+    ("pulls", low, high, arm) want low's interval (mean +/- half-width) of the
+    final regret, or of pulls of arm, wholly below high's; ("unpulled",
+    agent, arm) wants arm unpulled in most of agent's runs."""
+    if kind == "unpulled":
+        tag, arm = args
+        runs = batch.runs[tag]
+        unpulled = sum(run.pull_counts[arm] == 0 for run in runs)
+        return (f"{tag} leaves arm {arm} unpulled in most runs ({unpulled}/{len(runs)})",
+                2 * unpulled > len(runs))
+    low, high, *arm = args
+    (low_mean, low_half), (high_mean, high_half) = [
+        (a.mean_pulls[arm[0]], a.pulls_half_width[arm[0]]) if arm
+        else (a.mean_regret[-1], a.regret_half_width[-1])
+        for a in (batch.aggregates[low], batch.aggregates[high])]
+    what = f"pulls of arm {arm[0]}: {low} < {high}" if arm else f"regret({low}) < regret({high})"
+    return f"{what} with separated CIs", low_mean + low_half < high_mean - high_half
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers)
-    base_seed = 0 if args.seed is None else args.seed
-    fig3c_runs = 25 if args.scale == "desk" else 100
-    os.makedirs(args.out, exist_ok=True)
     checks: list[tuple[str, str, bool]] = []
-
-    print("running fig3a (piecewise-linear structure, n=10000) ...", flush=True)
-    batch_a = run_batch(ExperimentConfig(
-        structure=build_figure_left(), agents=_suite_agents(0.1),
-        horizon=10000, runs=100, base_seed=base_seed, source="figure_left"),
-        workers=workers)
-    write_batch(os.path.join(args.out, "fig3a"), batch_a)
-    for low, high in (("asae", "sucb"), ("sae", "sucb"), ("sucb", "ucb1")):
-        name, ok = _ordering_check(batch_a, low, high)
-        checks.append(("fig3a", name, ok))
-
-    print("running fig3b (non-informative middle arm variant) ...", flush=True)
-    batch_b = run_batch(ExperimentConfig(
-        structure=build_figure_left(informative_arm2=False),
-        agents=_suite_agents(0.1), horizon=10000, runs=100,
-        base_seed=base_seed, source="figure_left_noninformative"),
-        workers=workers)
-    write_batch(os.path.join(args.out, "fig3b"), batch_b)
-    # sae keeps arm 2 to its 1179-pull target here, so its regret does not
-    # undercut ucb1's; the structure shows in how soon it drops arm 1
-    checks.append(("fig3b", *_ordering_check(batch_b, "sucb", "sae")))
-    checks.append(("fig3b", *_pulls_check(batch_b, "sae", "ucb1", 1)))
-
-    print(f"running fig3c (four-model structure, n=500000, {fig3c_runs} runs) ...", flush=True)
-    batch_c = run_batch(ExperimentConfig(
-        structure=build_figure_right(), agents=_suite_agents(0.01),
-        horizon=500000, runs=fig3c_runs, base_seed=base_seed,
-        source="figure_right"), workers=workers)
-    write_batch(os.path.join(args.out, "fig3c"), batch_c)
-    for low, high in (("asae", "sucb"), ("sae", "sucb")):
-        name, ok = _ordering_check(batch_c, low, high)
-        checks.append(("fig3c", name, ok))
-    # model 2 is optimistic for arm 3, so sucb may pull it in a few runs
-    checks.append(("fig3c", *_unpulled_check(batch_c, "sucb", 3)))
-    checks.append(("fig3c", *_pulls_check(batch_c, "sucb", "asae", 3)))
-
-    print("running fig3d (randomized structures, n=10000) ...", flush=True)
-    batch_d = run_randomized_batch(
-        GeneratorSpec(), _suite_agents(0.1), horizon=10000, runs=100,
-        base_seed=base_seed, workers=workers)
-    write_batch(os.path.join(args.out, "fig3d"), batch_d)
-    name, ok = _ordering_check(batch_d, "asae", "sucb")
-    checks.append(("fig3d", name, ok))
-
-    fig4 = os.path.join(args.out, "fig4")
-    os.makedirs(fig4, exist_ok=True)
-    for label, batch in (("fig4a", batch_a), ("fig4b", batch_b), ("fig4c", batch_c)):
-        for tag in batch.aggregates:
-            src = os.path.join(args.out, f"fig3{label[-1]}", f"{tag}_pulls.csv")
-            shutil.copyfile(src, os.path.join(fig4, f"{label}_{tag}_pulls.csv"))
-
+    for figure, row in SUITE.items():
+        config = dict(row["config"])
+        if args.scale == "desk":
+            config["runs"] = row.get("desk_runs", config["runs"])
+        print(f"running {figure} ({config['structure']['builder']}, n={config['horizon']}, "
+              f"{config['runs']} runs) ...", flush=True)
+        batch = _run_config(config, workers, args.seed, row.get("source"))
+        out = os.path.join(args.out, figure)
+        write_batch(out, batch)
+        checks += [(figure, *_check(batch, *check)) for check in row["checks"]]
+        if "fig4" in row:
+            os.makedirs(os.path.join(args.out, "fig4"), exist_ok=True)
+            for tag in batch.aggregates:
+                shutil.copyfile(os.path.join(out, f"{tag}_pulls.csv"),
+                                os.path.join(args.out, "fig4", f"{row['fig4']}_{tag}_pulls.csv"))
     print()
     return _report_checks(checks, args.out)
 

@@ -57,8 +57,9 @@ class ExperimentConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 2:
             raise ValueError(f"need runs >= 2 for confidence intervals, got {self.runs}")
-        if not 0.5 < self.level < 1.0:
-            raise ValueError(f"level must be in (0.5, 1), got {self.level}")
+        if not (0.5 < self.level and 0.5 * (1.0 + self.level) < 1.0):  # the t quantile's p
+            raise ValueError(f"level must be in (0.5, 1), and (1 + level) / 2 must round below 1, "
+                             f"got {self.level}")
         if not self.agents:
             raise ValueError("at least one agent config required")
         tags = [a.algorithm for a in self.agents]
@@ -274,7 +275,8 @@ def _run_and_aggregate(config: ExperimentConfig, structures: tuple[Structure, ..
     if workers == 1:
         blocks = [_run_task(structures, *task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_install,
+        # a pool starts all of its workers at the first submit, so no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_install,
                                  initargs=(structures,)) as pool:
             blocks = list(pool.map(_worker_task, *zip(*tasks), chunksize=1))
     slots = {agent_config.algorithm: [None] * config.runs for agent_config in config.agents}

@@ -16,6 +16,7 @@ import pytest
 
 import structbandit as sb
 import conftest
+from structbandit.cli import SUITE, _check
 from helpers import mk
 from oracles import (
     oracle_delta_floor,
@@ -44,20 +45,6 @@ def _pulls(aggregate, arm: int):
     return aggregate.mean_pulls[arm], aggregate.pulls_half_width[arm]
 
 
-def _below(low, high) -> bool:
-    """Whether the (mean, half-width) interval `low` lies wholly below `high`."""
-    return low[0] + low[1] < high[0] - high[1]
-
-
-def _separated(batch, low: str, high: str) -> bool:
-    return _below(_final(batch.aggregates[low]), _final(batch.aggregates[high]))
-
-
-def _pulls_separated(batch, low: str, high: str, arm: int) -> bool:
-    return _below(_pulls(batch.aggregates[low], arm),
-                  _pulls(batch.aggregates[high], arm))
-
-
 def _summary(batch, value) -> str:
     parts = []
     for tag, aggregate in batch.aggregates.items():
@@ -74,12 +61,13 @@ def _pulls_summary(batch, arm: int) -> str:
     return _summary(batch, lambda aggregate: _pulls(aggregate, arm))
 
 
-DESK_AGENTS = (
-    sb.AgentConfig("sae", alpha=2.0, beta=1.0),
-    sb.AgentConfig("asae", alpha=2.0, beta=1.0, eta=0.1),
-    sb.AgentConfig("sucb", alpha=2.0),
-    sb.AgentConfig("ucb1", alpha=2.0),
-)
+def _agents(figure: str, *tags: str) -> tuple:
+    """The agents of a paper-suite figure, in its order; only ``tags`` if given."""
+    return tuple(sb.AgentConfig(**agent) for agent in SUITE[figure]["config"]["agents"]
+                 if not tags or agent["algorithm"] in tags)
+
+
+DESK_AGENTS = _agents("fig3a")
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +94,7 @@ def flat_batch():
 def fig_right_batch():
     config = sb.ExperimentConfig(
         structure=sb.build_figure_right(),
-        agents=(sb.AgentConfig("sae", alpha=2.0, beta=1.0),
-                sb.AgentConfig("asae", alpha=2.0, beta=1.0, eta=0.01),
-                sb.AgentConfig("sucb", alpha=2.0)),
+        agents=_agents("fig3c", "sae", "asae", "sucb"),
         horizon=500_000, runs=25, base_seed=BASE_SEED)
     start = time.perf_counter()
     batch = sb.run_batch(config)
@@ -221,7 +207,7 @@ def test_criterion_03_schedule_consistency(lemma_runs):
 def test_criterion_04_informative_orderings(fig_left_batch):
     batch, _, elapsed = fig_left_batch
     pairs = (("asae", "sucb"), ("sae", "sucb"), ("sucb", "ucb1"))
-    separated = {pair: _separated(batch, *pair) for pair in pairs}
+    separated = {pair: _check(batch, "regret", *pair)[1] for pair in pairs}
     ok = all(separated.values()) and elapsed < 180.0
     _line(4, ok, f"{_regret_summary(batch)}; {elapsed:.0f}s")
     assert all(separated.values()), (separated, _regret_summary(batch))
@@ -237,8 +223,8 @@ def test_criterion_05_flat_variant_orderings(flat_batch):
     # the 295 target where UCB1 needs thousands of pulls, so the ordering
     # is checked on arm-1 pull counts.
     batch, _, elapsed = flat_batch
-    regret_ok = _separated(batch, "sucb", "sae")
-    arm1_ok = _pulls_separated(batch, "sae", "ucb1", 1)
+    regret_ok = _check(batch, "regret", "sucb", "sae")[1]
+    arm1_ok = _check(batch, "pulls", "sae", "ucb1", 1)[1]
     ok = regret_ok and arm1_ok and elapsed < 180.0
     _line(5, ok, f"{_regret_summary(batch)}; arm-1 pulls "
                  f"{_pulls_summary(batch, 1)}; {elapsed:.0f}s")
@@ -250,7 +236,7 @@ def test_criterion_05_flat_variant_orderings(flat_batch):
 def test_criterion_06_long_horizon_orderings(fig_right_batch):
     batch, _, elapsed = fig_right_batch
     pairs = (("asae", "sucb"), ("sae", "sucb"))
-    separated = {pair: _separated(batch, *pair) for pair in pairs}
+    separated = {pair: _check(batch, "regret", *pair)[1] for pair in pairs}
     # Model 2 is optimistic for arm 3, so SUCB pulls arm 3 whenever model 3
     # has left the confidence set and model 2 has not (sucb_bound charges
     # arm 3 a log n term). That happens in a few runs without any
@@ -258,7 +244,7 @@ def test_criterion_06_long_horizon_orderings(fig_right_batch):
     sucb_runs = batch.runs["sucb"]
     unpulled = sum(run.pull_counts[3] == 0 for run in sucb_runs)
     arm3_ok = (2 * unpulled > len(sucb_runs)
-               and _pulls_separated(batch, "sucb", "asae", 3))
+               and _check(batch, "pulls", "sucb", "asae", 3)[1])
     ok = all(separated.values()) and arm3_ok and elapsed < 600.0
     _line(6, ok, f"{_regret_summary(batch)}; sucb left arm 3 unpulled in "
                  f"{unpulled}/{len(sucb_runs)} runs, arm-3 pulls "
@@ -270,16 +256,15 @@ def test_criterion_06_long_horizon_orderings(fig_right_batch):
 
 
 def test_criterion_07_randomized_structures():
-    agents = (sb.AgentConfig("asae", alpha=2.0, beta=1.0, eta=0.1),
-              sb.AgentConfig("sucb", alpha=2.0))
+    agents = _agents("fig3d", "asae", "sucb")
     start = time.perf_counter()
     batch = sb.run_randomized_batch(sb.GeneratorSpec(), agents,
                                     horizon=10_000, runs=100,
                                     base_seed=BASE_SEED)
     elapsed = time.perf_counter() - start
-    ok = _separated(batch, "asae", "sucb") and elapsed < 600.0
+    ok = _check(batch, "regret", "asae", "sucb")[1] and elapsed < 600.0
     _line(7, ok, f"{_regret_summary(batch)}; {elapsed:.0f}s")
-    assert _separated(batch, "asae", "sucb"), _regret_summary(batch)
+    assert _check(batch, "regret", "asae", "sucb")[1], _regret_summary(batch)
     assert elapsed < 600.0, f"batch took {elapsed:.0f}s, limit 600s"
 
 

@@ -166,6 +166,14 @@ def test_run_config_validation(tmp_path, capsys):
     path.write_text(json.dumps({**base, "level": 1, "checkpoints": [25, 50]}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "level" in capsys.readouterr().err  # 1 is numeric but no valid level
+    # below 1, but (1 + level) / 2 rounds to 1, where the t quantile is undefined
+    path.write_text(json.dumps({**base, "level": 0.9999999999999999}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "level must be in (0.5, 1)" in capsys.readouterr().err
+    # an unknown algorithm names its field
+    path.write_text(json.dumps({**base, "agents": [{"algorithm": "nope"}]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config field 'agents[0].algorithm' must be one of" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(run_config, tmp_path, capsys):
@@ -272,6 +280,12 @@ def test_run_structure_entry_errors(tmp_path, capsys):
     path.write_text(json.dumps({**base, "structure": {"path": 3}}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "config field 'structure.path' must be a string, got 3" in capsys.readouterr().err
+    # fresh structures are seeded per run, so a random builder's seed is refused
+    # rather than replaced
+    path.write_text(json.dumps({**base, "fresh_structure_per_run": True,
+                                "structure": {"builder": "random", "seed": 5}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config field 'structure.seed' is not used" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -298,12 +312,7 @@ def test_run_checks_every_annotated_field(tmp_path, capsys):
                 path.write_text(json.dumps(config))
                 case = (make.__name__, name, value)
                 assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, case
-                err = capsys.readouterr().err
-                if isinstance(value, str) and kind == "str":
-                    # of the right kind, so the constructor's own check refuses it
-                    assert where in err and f"'{name}'" in err, case
-                else:
-                    assert f"config field '{where}.{name}'" in err, case
+                assert f"config field '{where}.{name}'" in capsys.readouterr().err, case
                 cases += 1
     assert cases == 35
     assert not (tmp_path / "o").exists()
@@ -477,11 +486,16 @@ def test_paper_suite_pull_checks():
         structure=sb.build_figure_right(),
         agents=(sb.AgentConfig("asae", eta=0.01), sb.AgentConfig("sucb")),
         horizon=3000, runs=25, base_seed=7))
-    assert cli._unpulled_check(batch, "sucb", 3) == (
+    assert cli._check(batch, "unpulled", "sucb", 3) == (
         "sucb leaves arm 3 unpulled in most runs (20/25)", True)
-    assert cli._pulls_check(batch, "sucb", "asae", 3) == (
+    assert cli._check(batch, "pulls", "sucb", "asae", 3) == (
         "pulls of arm 3: sucb < asae with separated CIs", True)
-    assert not cli._pulls_check(batch, "asae", "sucb", 3)[1]
+    assert not cli._check(batch, "pulls", "asae", "sucb", 3)[1]
+    # the final regrets (80.1+/-7.4 and 95.0+/-6.2) are separated; the arm-1
+    # pulls (298.4+/-42.4 and 351.0+/-32.7) overlap, so neither order holds
+    assert cli._check(batch, "regret", "asae", "sucb") == (
+        "regret(asae) < regret(sucb) with separated CIs", True)
+    assert not cli._check(batch, "pulls", "asae", "sucb", 1)[1]
 
 
 def test_paper_suite_exit_code(capsys):
@@ -492,3 +506,60 @@ def test_paper_suite_exit_code(capsys):
                      "1/2 checks passed; outputs in suite"]
     assert cli._report_checks(checks[:1], "suite") == 0
     assert capsys.readouterr().out.endswith("1/1 checks passed; outputs in suite\n")
+
+
+def test_paper_suite_end_to_end(tmp_path, monkeypatch, capsys):
+    # the table's rows at a tiny horizon and run count, one worker
+    tiny = {figure: {**row, "config": {**row["config"], "horizon": 200, "runs": 3}}
+            for figure, row in cli.SUITE.items()}
+    tiny["fig3c"]["desk_runs"] = 2
+    monkeypatch.setattr(cli, "SUITE", tiny)
+    out = tmp_path / "suite"
+    code = main(["paper-suite", "--out", str(out), "--scale", "desk", "--workers", "1"])
+    assert sorted(os.listdir(out)) == ["fig3a", "fig3b", "fig3c", "fig3d", "fig4"]
+    for figure in ("fig3a", "fig3b", "fig3c", "fig3d"):
+        manifest = json.loads((out / figure / "manifest.json").read_text())
+        assert manifest["runs"] == (2 if figure == "fig3c" else 3)
+    copies = sorted(os.listdir(out / "fig4"))
+    assert copies == sorted(f"fig4{letter}_{tag}_pulls.csv" for letter in "abc"
+                            for tag in ("sae", "asae", "sucb", "ucb1"))
+    for copy in copies:
+        label, tag, _ = copy.split("_")
+        source = out / f"fig3{label[-1]}" / f"{tag}_pulls.csv"
+        assert (out / "fig4" / copy).read_bytes() == source.read_bytes(), copy
+    lines = capsys.readouterr().out.splitlines()
+    results = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    checks = [(figure, check) for figure, row in tiny.items() for check in row["checks"]]
+    assert len(results) == len(checks) == 10
+    for line, (figure, (kind, *args)) in zip(results, checks):
+        status, _, text = line.partition(f" {figure}: ")
+        if kind == "unpulled":
+            unpulled, runs = map(int, text.rpartition("(")[2].rstrip(")").split("/"))
+            assert text.startswith(f"{args[0]} leaves arm {args[1]} unpulled"), line
+            assert (status == "PASS") == (2 * unpulled > runs), line
+            continue
+        # the verdict from the written CSVs: the final regret row, or the arm's pulls row
+        low, high, *arm = args
+        ends = []
+        for tag in (low, high):
+            table = (out / figure / f"{tag}_{kind}.csv").read_text().splitlines()
+            _, mean, half = table[arm[0] + 1 if arm else -1].split(",")
+            ends.append((float(mean), float(half)))
+        assert low in text and high in text and ("arm" in text) == bool(arm), line
+        assert (status == "PASS") == (ends[0][0] + ends[0][1] < ends[1][0] - ends[1][1]), line
+    passed = sum(line.startswith("PASS") for line in results)
+    assert lines[-1] == f"{passed}/10 checks passed; outputs in {out}"
+    assert code == (0 if passed == 10 else 1)
+    # the checks that passed, alone, exit 0; the ones that failed exit 1
+    verdicts = {check: line.startswith("PASS") for check, line in zip(checks, results)}
+    for keep in (True, False):
+        monkeypatch.setattr(cli, "SUITE", {
+            figure: {**row, "checks": tuple(c for c in row["checks"]
+                                            if verdicts[figure, c] == keep)}
+            for figure, row in tiny.items()})
+        target = tmp_path / str(keep)
+        code = main(["paper-suite", "--out", str(target), "--scale", "desk", "--workers", "1"])
+        count = sum(verdict == keep for verdict in verdicts.values())
+        assert code == (0 if keep or not count else 1), keep
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"{count if keep else 0}/{count} checks passed; outputs in {target}")

@@ -16,25 +16,13 @@ import json
 import os
 import sys
 
-from structbandit.cli import main
+from structbandit.cli import SUITE, main
 
-
-def _suite_agents(eta):
-    # the agent set of `paper-suite`
-    return [{"algorithm": "sae", "alpha": 2.0, "beta": 1.0},
-            {"algorithm": "asae", "alpha": 2.0, "beta": 1.0, "eta": eta},
-            {"algorithm": "sucb", "alpha": 2.0},
-            {"algorithm": "ucb1", "alpha": 2.0}]
-
-
-FIGURES = {
-    "fig3a": {"structure": {"builder": "figure_left"}, "agents": _suite_agents(0.1)},
-    "fig3b": {"structure": {"builder": "figure_left", "informative_arm2": False},
-              "agents": _suite_agents(0.1)},
-    "fig3c": {"structure": {"builder": "figure_right"}, "agents": _suite_agents(0.01)},
-    "fig3d": {"structure": {"builder": "random"}, "fresh_structure_per_run": True,
-              "agents": _suite_agents(0.1)},
-}
+# the paper-suite figures' structures and agents, at the tiny horizon and run
+# count that produce() sets
+FIGURES = {figure: {key: row["config"][key] for key in
+                    ("structure", "agents", "fresh_structure_per_run") if key in row["config"]}
+           for figure, row in SUITE.items()}
 
 GEN_ARGS = ["gen", "--builder", "random", "--out", "structure.json", "--seed", "3",
             "--arms", "6", "--base-models", "10", "--hard-models", "0"]

@@ -11,14 +11,13 @@ import scipy.stats
 import structbandit as sb
 from helpers import mk
 from structbandit.algorithms import simulate_ucb1
+from structbandit.cli import SUITE as SUITE_TABLE
 
 # published two-sided 97.5% quantiles
 T_TABLE = {1: 12.706, 10: 2.2281, 99: 1.9842}
 
 # the paper-suite agents, in the suite's order
-SUITE = (sb.AgentConfig("sae", alpha=2.0, beta=1.0),
-         sb.AgentConfig("asae", alpha=2.0, beta=1.0, eta=0.1),
-         sb.AgentConfig("sucb", alpha=2.0), sb.AgentConfig("ucb1", alpha=2.0))
+SUITE = tuple(sb.AgentConfig(**agent) for agent in SUITE_TABLE["fig3a"]["config"]["agents"])
 SMALL_SPEC = sb.GeneratorSpec(arm_count=5, base_model_count=6, hard_model_count=2)
 
 
@@ -342,6 +341,25 @@ def test_dispatch_longest_first_with_installed_structures(monkeypatch):
     assert sb.simulation._worker_structures == ()
     assert list(serial.runs) == list(parallel.runs) == [a.algorithm for a in SUITE]
     assert serial.runs == parallel.runs and serial.aggregates == parallel.aggregates
+
+
+def test_pool_never_larger_than_the_task_count(monkeypatch, fig_right):
+    # a pool starts every worker at its first submit; four tasks need four.
+    # The recording pool itself forks at most two processes.
+    sizes = []
+
+    class Recording(sb.simulation.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(sb.simulation, "ProcessPoolExecutor", Recording)
+    config = sb.ExperimentConfig(
+        structure=fig_right, agents=(sb.AgentConfig("sucb"), sb.AgentConfig("ucb1")),
+        horizon=100, runs=3, base_seed=5)  # three sucb runs and one ucb1 block
+    batch = sb.run_batch(config, workers=64)
+    assert sizes == [4]
+    assert batch.runs == sb.run_batch(config).runs
 
 
 def test_randomized_batch_files_identical_across_workers(tmp_path):
