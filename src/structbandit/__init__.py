@@ -18,7 +18,6 @@ from .algorithms import (
 )
 from .gaps import (
     TOLERANCE,
-    BanditModel,
     RewardSpec,
     Structure,
     StructureClass,
@@ -73,7 +72,7 @@ from .theory import (
 
 __all__ = [
     "ALGORITHMS", "AgentConfig", "AgentState", "AggregateResult", "AsaeAgent",
-    "BanditModel", "BatchResult", "BoundReport", "BoundTerm", "Environment",
+    "BatchResult", "BoundReport", "BoundTerm", "Environment",
     "ExperimentConfig", "GeneratorSpec", "PhaseRecord", "RewardSpec",
     "RunResult", "SaeAgent", "Structure", "StructureClass", "SucbAgent",
     "TOLERANCE", "TheorySequences", "Ucb1Agent", "asae_bound",

@@ -444,10 +444,8 @@ class _EliminationAgent(_Agent):
 
     def _advance_period(self) -> None:
         self._period += 1
-        nxt = math.ceil(self._period_horizon ** (1.0 + self.config.eta))
-        # guard against a float-precision stall for tiny eta
-        horizon = max(int(nxt), self._period_horizon + 1)
-        self._start_period(horizon, self._active_models or self._all_models)
+        self._start_period(next_period_end(self._period_horizon, self.config.eta),
+                           self._active_models or self._all_models)
 
     def _filter_models(self) -> list[int]:
         """Models of the period's base set consistent with every pulled
@@ -499,6 +497,12 @@ class SaeAgent(_EliminationAgent):
         if config.horizon is None:
             raise ValueError("sae requires a horizon")
         super().__init__(structure, config, config.horizon)
+
+
+def next_period_end(n: int, eta: float) -> int:
+    """ASAE's period end after n: ceil(n^(1+eta)), at least n + 1 (a tiny eta
+    stalls in floats); OverflowError past the largest float."""
+    return max(math.ceil(n ** (1.0 + eta)), n + 1)
 
 
 class AsaeAgent(_EliminationAgent):
@@ -561,7 +565,8 @@ class SucbAgent(_Agent):
         # next widens; inf while unpulled
         self._wake = [math.inf] * self.arm_count
         self._excluded = [0] * model_count
-        ranked = sorted((-m.optimal_mean, m.optimal_arm, k) for k, m in enumerate(structure.models))
+        ranked = sorted(zip((-means.max(axis=1)).tolist(), structure.optimal_arms.tolist(),
+                            range(model_count)))
         self._optimism = [(k, arm) for _, arm, k in ranked]
         # the optimistic arm, None while the set is empty; set by the first select
         self._arm: int | None = None
@@ -759,8 +764,8 @@ class Environment:
         self.reward = reward if reward is not None else structure.reward
         if self.reward.kind == "gaussian" and not self.reward.variance > 0.0:
             raise ValueError("gaussian reward requires variance > 0")
-        self._means = structure.true_model.means
-        self._mean_array = np.array(self._means, dtype=np.float64)
+        self._mean_array = structure.means[structure.true_index]
+        self._means = self._mean_array.tolist()
         self._sigma = math.sqrt(self.reward.variance)
         self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self._buf = np.empty(0)

@@ -77,6 +77,17 @@ def _checked(call, *args):
         raise UsageError(str(exc))
 
 
+def _out_path(path: str, directory: bool) -> None:
+    """A UsageError naming ``path`` unless an output directory (``directory``)
+    or file, which may replace a file, can be made there."""
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent) or os.path.exists(path) and os.path.isdir(path) != directory:
+        raise UsageError(f"--out {path} cannot be made {'a directory' if directory else 'a file'}:"
+                         " a file or a directory is in the way")
+
+
 def _field(value, kind: str, name: str):
     """``value`` if it is a JSON value of ``kind`` (see json_value), else a
     UsageError naming the config field."""
@@ -206,6 +217,7 @@ def _run_config(data, workers: int, seed: int | None, source: str | None = None)
 
 def cmd_run(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers)
+    _out_path(args.out, True)
     batch = _run_config(_checked(read_json, args.config), workers, args.seed)
     paths = write_batch(args.out, batch)
     for tag, aggregate in batch.aggregates.items():
@@ -234,6 +246,8 @@ def _sequences_document(sequences: TheorySequences) -> dict:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
+    if args.out:
+        _out_path(args.out, False)
     structure = _checked(load_structure, args.structure)
     requested = args.bound or []
     needs_n = {"sae", "asae", "sucb", "ucb"}
@@ -295,6 +309,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _out_path(args.out, False)
     structure, _ = _structure_from_entry(
         {"builder": args.builder, **_BUILDERS[args.builder][1](args)})
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -363,6 +378,7 @@ def _check(batch: BatchResult, kind: str, *args) -> tuple[str, bool]:
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers)
+    _out_path(args.out, True)
     checks: list[tuple[str, str, bool]] = []
     for figure, row in SUITE.items():
         config = dict(row["config"])

@@ -1,7 +1,8 @@
 """Model structures and the gap quantities used by the agents and the bounds.
 
 A structure is a finite collection of candidate mean vectors ("models"), one
-of which is the true model.  Everything downstream works off two kinds of
+of which is the true model: it is its means matrix, one row per model,
+checked once, as a matrix.  Everything downstream works off two kinds of
 gaps: the sub-optimality gap of an arm within one model, and the per-arm
 separation between two models.  The separation of a model subset measured on
 an arm subset (``psi``) drives all the regret bounds in :mod:`theory`.
@@ -42,108 +43,85 @@ class RewardSpec:
             raise ValueError(f"gaussian reward needs variance > 0, got {self.variance}")
 
 
-@dataclass(frozen=True)
-class BanditModel:
-    """One candidate assignment of mean rewards, one per arm.
-
-    Means live in [0, 1] and the largest mean must be unique so that every
-    model has a well defined optimal arm, stored with its mean on creation.
-    """
-
-    means: tuple[float, ...]
-    optimal_arm: int = field(init=False, compare=False, repr=False)
-    optimal_mean: float = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.means) == 0:
-            raise ValueError("no means; a model needs at least one arm")
-        try:
-            means = tuple(map(float, self.means))
-            best = max(means)
-            # min and max need not see a nan, so it gets its own scan
-            ok = 0.0 <= min(means) and best <= 1.0 and not any(map(math.isnan, means))
-        except OverflowError:  # an int too large for a float
-            ok = False
-        if not ok:
-            i = next(i for i, m in enumerate(self.means) if not 0.0 <= m <= 1.0)
-            raise ValueError(f"arm {i}: mean {self.means[i]} outside [0, 1]")
-        arm = means.index(best)
-        if means.count(best) > 1:
-            raise ValueError(f"arms {arm} and {means.index(best, arm + 1)}: tied optimal "
-                             "means; a model needs a unique maximum")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "optimal_arm", arm)
-        object.__setattr__(self, "optimal_mean", best)
-
-    @property
-    def arm_count(self) -> int:
-        return len(self.means)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Structure:
     """A finite set of candidate models together with the true one.
 
-    ``models[true_index]`` is the model the environment actually draws
-    rewards from.  The agents receive the model list but never the true
-    index.  ``reward`` and ``provenance`` travel with the structure so that
-    a saved file is self describing.  The read-only arrays ``means`` (M x K)
-    and ``optimal_arms`` serve every reduction over the models.
+    The structure is its means matrix: ``means`` holds one row of arm means
+    per model (M x K), given as any sequence of equal-length number
+    sequences and kept read-only as float64, and ``optimal_arms`` each
+    row's arm of largest mean, which is unique, with every mean in [0, 1].
+    ``means[true_index]`` is the model the environment draws rewards from;
+    the agents receive the matrix but never the true index.  ``reward`` and
+    ``provenance`` travel with the structure so that a saved file is self
+    describing.  Structures compare by these four fields, and are unhashable.
     """
 
-    models: tuple[BanditModel, ...]
+    means: np.ndarray
     true_index: int
     reward: RewardSpec = RewardSpec()
-    provenance: dict | None = field(default=None, compare=True)
-    means: np.ndarray = field(init=False, compare=False, repr=False)
-    optimal_arms: np.ndarray = field(init=False, compare=False, repr=False)
+    provenance: dict | None = None
+    optimal_arms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.models) == 0:
+        rows = self.means
+        if len(rows) == 0:
             raise ValueError("structure needs at least one model")
-        object.__setattr__(self, "models", tuple(self.models))
-        arms = self.models[0].arm_count
-        for k, model in enumerate(self.models):
-            if model.arm_count != arms:
-                raise ValueError(
-                    f"model {k} has {model.arm_count} arms, expected {arms} like model 0"
-                )
-        if not (0 <= self.true_index < len(self.models)):
-            raise ValueError(
-                f"true_index {self.true_index} out of range for {len(self.models)} models"
-            )
-        means = np.array([model.means for model in self.models], dtype=np.float64)
-        optimal = means.argmax(axis=1)  # the unique maximum of each row
+        arms = len(rows[0])
+        if arms == 0:
+            raise ValueError("model 0, no means; a model needs at least one arm")
+        k = next((k for k, n in enumerate(map(len, rows)) if n != arms), None)
+        if k is not None:
+            raise ValueError(f"model {k} has {len(rows[k])} arms, expected {arms} like model 0")
+        try:
+            means = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an int too large for a float, out of range like nan
+            means = np.array([[m if 0 <= m <= 1 else math.nan for m in row] for row in rows])
+        outside = ~((0.0 <= means) & (means <= 1.0))  # nan too
+        top = means == means.max(axis=1, keepdims=True)
+        faulty = outside.any(axis=1) | (top.sum(axis=1) > 1)
+        if faulty.any():  # the lowest model, then its lowest arm
+            k = int(faulty.argmax())
+            if outside[k].any():
+                i = int(outside[k].argmax())
+                raise ValueError(f"model {k}, arm {i}: mean {rows[k][i]} outside [0, 1]")
+            i, j = np.flatnonzero(top[k])[:2].tolist()
+            raise ValueError(f"model {k}, arms {i} and {j}: tied optimal means; "
+                             "a model needs a unique maximum")
+        if not (0 <= self.true_index < len(means)):
+            raise ValueError(f"true_index {self.true_index} out of range for {len(means)} models")
+        optimal = means.argmax(axis=1)
         means.flags.writeable = optimal.flags.writeable = False
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "optimal_arms", optimal)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Structure) and np.array_equal(self.means, other.means)
+                and (self.true_index, self.reward, self.provenance)
+                == (other.true_index, other.reward, other.provenance))
+
     def __reduce__(self):
         # pickles as its fields; loading rebuilds the arrays, read-only
-        return Structure, (self.models, self.true_index, self.reward, self.provenance)
+        return Structure, (self.means, self.true_index, self.reward, self.provenance)
 
     @property
     def arm_count(self) -> int:
-        return self.models[0].arm_count
+        return self.means.shape[1]
 
     @property
     def model_count(self) -> int:
-        return len(self.models)
-
-    @property
-    def true_model(self) -> BanditModel:
-        return self.models[self.true_index]
+        return len(self.means)
 
     @property
     def optimal_arm(self) -> int:
-        return self.true_model.optimal_arm
+        return int(self.optimal_arms[self.true_index])
 
 
-def suboptimality_gap(model: BanditModel, arm: int) -> float:
-    """Gap of ``arm`` inside ``model``: best mean minus the arm's mean."""
-    if not 0 <= arm < model.arm_count:
-        raise ValueError(f"arm index out of range: {arm} (model has {model.arm_count} arms)")
-    return model.optimal_mean - model.means[arm]
+def suboptimality_gap(means, arm: int) -> float:
+    """Gap of ``arm`` in the mean vector ``means``: its best mean minus the arm's."""
+    if not 0 <= arm < len(means):
+        raise ValueError(f"arm index out of range: {arm} (model has {len(means)} arms)")
+    return float(max(means) - means[arm])
 
 
 def true_gaps(structure: Structure) -> tuple[float, ...]:
@@ -152,13 +130,13 @@ def true_gaps(structure: Structure) -> tuple[float, ...]:
     return tuple((true.max() - true).tolist())
 
 
-def model_gap(a: BanditModel, b: BanditModel, arm: int) -> float:
-    """Separation of two models on one arm: absolute mean difference."""
-    if a.arm_count != b.arm_count:
-        raise ValueError(f"arm-count mismatch: {a.arm_count} vs {b.arm_count}")
-    if not 0 <= arm < a.arm_count:
-        raise ValueError(f"arm index out of range: {arm} (models have {a.arm_count} arms)")
-    return abs(a.means[arm] - b.means[arm])
+def model_gap(a, b, arm: int) -> float:
+    """Separation of two mean vectors on one arm: absolute mean difference."""
+    if len(a) != len(b):
+        raise ValueError(f"arm-count mismatch: {len(a)} vs {len(b)}")
+    if not 0 <= arm < len(a):
+        raise ValueError(f"arm index out of range: {arm} (models have {len(a)} arms)")
+    return float(abs(a[arm] - b[arm]))
 
 
 def separations(structure: Structure) -> np.ndarray:

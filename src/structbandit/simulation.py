@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import (AgentConfig, Environment, RunResult, make_agent, simulate,
-                         simulate_ucb1)
+from .algorithms import (AgentConfig, Environment, RunResult, make_agent, next_period_end,
+                         simulate, simulate_ucb1)
 from .gaps import Structure
 from .structures import GeneratorSpec, generate_random
 
@@ -65,6 +65,14 @@ class ExperimentConfig:
         tags = [a.algorithm for a in self.agents]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate algorithm tags in {tags}")
+        for i, agent in enumerate(self.agents):
+            end = 2  # each asae period end that a run computes, up to the horizon
+            try:
+                while agent.algorithm == "asae" and end <= self.horizon:
+                    end = next_period_end(end, agent.eta)
+            except OverflowError:
+                raise ValueError(f"agents[{i}].eta = {agent.eta} overflows the asae period "
+                                 f"schedule before horizon {self.horizon}") from None
         if self.checkpoints is not None:
             cps = self.checkpoints
             if any(b <= a for a, b in zip(cps, cps[1:])):
@@ -312,14 +320,14 @@ def run_randomized_batch(spec: GeneratorSpec, agents: tuple[AgentConfig, ...],
     Regret stays comparable across runs because it is pseudo-regret against
     each run's own true model.  The returned config embeds run 0's structure
     as a representative; the generator parameters travel in its provenance.
+    The config is checked once run 0's structure is drawn, before the rest.
     """
-    structures = tuple(
-        generate_random(replace(spec, seed=stream_seed(base_seed, "structure", run)))
-        for run in range(runs))
+    specs = (replace(spec, seed=stream_seed(base_seed, "structure", run)) for run in range(runs))
     config = ExperimentConfig(
-        structure=structures[0], agents=tuple(agents), horizon=horizon,
+        structure=generate_random(next(specs)), agents=tuple(agents), horizon=horizon,
         runs=runs, base_seed=base_seed, checkpoints=checkpoints, level=level,
         source="randomized-per-run")
+    structures = (config.structure, *map(generate_random, specs))
     return _run_and_aggregate(config, structures, workers)
 
 

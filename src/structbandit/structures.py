@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gaps import BanditModel, RewardSpec, Structure
+from .gaps import RewardSpec, Structure
 
 # A model whose top two means are closer than this gets its optimal arm
 # nudged upward so the maximum is unique.
@@ -102,12 +102,11 @@ def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) 
     def arm2(region: int, f: float) -> float:
         return (_segment(f, 0.6, 0.8), 0.86, _segment(f, 0.8, 0.6))[region]
 
-    models = []
+    rows = []
     for region in range(3):
         for j in range(grid_per_region):
             f = (j + 0.5) / grid_per_region
-            means = _nudge_ties([arm0(region, f), arm1(region, f), arm2(region, f)])
-            models.append(BanditModel(tuple(means)))
+            rows.append(_nudge_ties([arm0(region, f), arm1(region, f), arm2(region, f)]))
 
     # Model nearest the centre of region 1 (grid index closest to f = 1/2).
     true_index = min(
@@ -115,7 +114,7 @@ def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) 
         key=lambda j: (abs((j + 0.5) / grid_per_region - 0.5), j),
     )
     return Structure(
-        models=tuple(models),
+        rows,
         true_index=true_index,
         reward=RewardSpec("bernoulli"),
         provenance={
@@ -143,9 +142,8 @@ def build_figure_right(arm1_fourth_model: float = 0.92) -> Structure:
         (0.8, 0.4, 0.6, 0.88),
         (0.8, float(arm1_fourth_model), 0.6, 0.5),
     ]
-    models = tuple(BanditModel(tuple(_nudge_ties(list(row)))) for row in rows)
     return Structure(
-        models=models,
+        [_nudge_ties(list(row)) for row in rows],
         true_index=0,
         reward=RewardSpec("bernoulli"),
         provenance={
@@ -233,9 +231,8 @@ def generate_random(spec: GeneratorSpec) -> Structure:
         means[shrunk] = spec.shrink_factor * means[shrunk]
         rows.append(_nudge_ties(means))
 
-    models = tuple(BanditModel(tuple(r)) for r in rows)
     return Structure(
-        models=models,
+        rows,
         true_index=true_index,
         reward=RewardSpec("bernoulli"),
         provenance={
@@ -262,7 +259,7 @@ def save_structure(structure: Structure, path) -> None:
         "arm_count": structure.arm_count,
         "true_index": structure.true_index,
         "reward": {"kind": structure.reward.kind, "params": reward_params},
-        "models": [list(model.means) for model in structure.models],
+        "models": structure.means.tolist(),
         "provenance": structure.provenance,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -288,19 +285,14 @@ def load_structure(path) -> Structure:
             json_value(doc[key], kind, key)
         if not doc["models"]:
             raise ValueError("'models' must be a non-empty list of mean arrays")
-        models = []
         for k, row in enumerate(doc["models"]):
             if not isinstance(row, list) or len(row) != doc["arm_count"]:
                 raise ValueError(f"model {k} has {len(row) if isinstance(row, list) else 'no'} "
                                  f"means, expected arm_count = {doc['arm_count']}")
-            # JSON numbers only (a bool is no number); BanditModel checks the values
+            # JSON numbers only (a bool is no number); Structure checks the values
             if not set(map(type, row)) <= {int, float}:
                 i = next(i for i, m in enumerate(row) if type(m) not in (int, float))
                 raise ValueError(f"model {k}, arm {i}: mean {row[i]!r} is not a number")
-            try:
-                models.append(BanditModel(row))
-            except ValueError as exc:
-                raise ValueError(f"model {k}, {exc}") from exc
 
         reward = doc.get("reward", {"kind": "bernoulli"})
         if (not isinstance(reward, dict) or "kind" not in reward
@@ -314,7 +306,7 @@ def load_structure(path) -> Structure:
         if extra:
             raise ValueError(f"unknown reward.params {extra} for kind {reward['kind']!r}")
         variance = json_value(params.get("variance", 1.0), "float", "reward.params.variance")
-        return Structure(models=tuple(models), true_index=doc["true_index"],
+        return Structure(doc["models"], true_index=doc["true_index"],
                          reward=RewardSpec(reward["kind"], float(variance)),
                          provenance=doc.get("provenance"))
     except ValueError as exc:

@@ -81,8 +81,10 @@ def deterministic_sequences(
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    kb = k_beta(beta, n)
-    assert kb is not None
+    try:
+        kb = k_beta(beta, n)
+    except OverflowError:
+        raise ValueError(f"beta = {beta} is too large: (beta + 1)^2 overflows") from None
     i_star = structure.optimal_arm
     a_star = sorted(optimal_arm_set(structure))
     sep = separations(structure)

@@ -1,14 +1,11 @@
 """Small shared constructors for tests."""
 
-from structbandit import BanditModel, RewardSpec, Structure
+from structbandit import RewardSpec, Structure
 
 
 def mk(rows, true_index, reward=None):
     """Structure from a list of mean rows."""
-    models = tuple(BanditModel(tuple(float(v) for v in row)) for row in rows)
-    if reward is None:
-        reward = RewardSpec()
-    return Structure(models=models, true_index=true_index, reward=reward)
+    return Structure(rows, true_index, reward or RewardSpec())
 
 
 def structures_strategy(max_models=6, max_arms=4):

@@ -15,7 +15,7 @@ TOL = 1e-12
 
 
 def _means(structure):
-    return [list(m.means) for m in structure.models]
+    return structure.means.tolist()
 
 
 def _argmax(row):
@@ -153,7 +153,7 @@ def sucb_active_mask(structure, pulls, rewards, t, coeff):
     coeff*log(max(t,2))/T_i, in the float64 expressions and order SUCB
     uses; the set is the models passing every pulled arm.
     """
-    means = np.array([m.means for m in structure.models], dtype=np.float64)
+    means = np.array(_means(structure), dtype=np.float64)
     pull_arr = np.array(pulls, dtype=np.float64)
     pulled = pull_arr > 0.0
     if not pulled.any():
@@ -170,7 +170,7 @@ def sucb_arm(structure, mask, pulls, rewards):
     index on ties, or the best empirical mean among pulled arms when the
     set is empty."""
     if mask.any():
-        means = np.array([m.means for m in structure.models], dtype=np.float64)
+        means = np.array(_means(structure), dtype=np.float64)
         return int(np.argmax(means[mask].max(axis=0)))
     best, best_mean = -1, -math.inf
     for i, count in enumerate(pulls):
@@ -241,9 +241,40 @@ def oracle_filter_models(structure, base_models, pulls, rewards, alpha, log_nk):
     for i, count in enumerate(pulls):
         if count > 0:
             constraints.append((i, rewards[i] / count, math.sqrt(alpha * log_nk / count)))
+    rows = _means(structure)
     kept = []
     for k in base_models:
-        means = structure.models[k].means
+        means = rows[k]
         if all(abs(mean - means[i]) < radius for i, mean, radius in constraints):
             kept.append(k)
     return kept
+
+
+def oracle_structure_error(rows, true_index):
+    """The message of the first rule that the mean rows break, or None.
+
+    The rules are the per-model ones that held before a structure was one
+    means matrix: each model in order must have an arm, every mean in
+    [0, 1] (compared exactly, so nan and an int past the floats fail) and
+    a unique largest mean; then every model needs model 0's arm count, and
+    ``true_index`` must name a model.
+    """
+    if not rows:
+        return "structure needs at least one model"
+    for k, row in enumerate(rows):
+        if not row:
+            return f"model {k}, no means; a model needs at least one arm"
+        for i, mean in enumerate(row):
+            if not 0.0 <= mean <= 1.0:
+                return f"model {k}, arm {i}: mean {mean} outside [0, 1]"
+        best = max(row)
+        top = [i for i, mean in enumerate(row) if mean == best]
+        if len(top) > 1:
+            return (f"model {k}, arms {top[0]} and {top[1]}: tied optimal means; "
+                    "a model needs a unique maximum")
+    for k, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            return f"model {k} has {len(row)} arms, expected {len(rows[0])} like model 0"
+    if not 0 <= true_index < len(rows):
+        return f"true_index {true_index} out of range for {len(rows)} models"
+    return None

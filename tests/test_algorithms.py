@@ -355,8 +355,7 @@ def test_sucb_matches_dense_oracle(case):
         "random": (sb.generate_random(sb.GeneratorSpec(
             arm_count=6, base_model_count=20, hard_model_count=10, seed=3)),
             sb.AgentConfig("sucb")),
-        "gaussian_sigma2": (sb.Structure(models=right.models, true_index=0,
-                                         reward=sb.RewardSpec("gaussian", 0.25)),
+        "gaussian_sigma2": (replace(right, reward=sb.RewardSpec("gaussian", 0.25)),
                             sb.AgentConfig("sucb", alpha=1.0, sigma2=0.25)),
         "empty_set_fallback": (right, sb.AgentConfig("sucb", alpha=0.05)),
         "reentry": (mk([[0.2, 0.5], [0.9, 0.5]], 0), sb.AgentConfig("sucb", alpha=0.5)),
@@ -572,8 +571,7 @@ def test_forced_blocks_match_scalar_steps(name, config, reward):
     build, horizon = BLOCK_STRUCTURES[name]
     structure = build()
     if reward == "gaussian":
-        structure = sb.Structure(models=structure.models, true_index=structure.true_index,
-                                 reward=sb.RewardSpec("gaussian", 0.25))
+        structure = replace(structure, reward=sb.RewardSpec("gaussian", 0.25))
     gaps = sb.true_gaps(structure)
     settled_gaps = []
     # at alpha = 0.05, seed 5 ends on a suboptimal fallback arm

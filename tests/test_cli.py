@@ -3,11 +3,12 @@
 import inspect
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 import structbandit as sb
-from structbandit import cli
+from structbandit import cli, simulation
 from structbandit.cli import main
 
 
@@ -63,8 +64,7 @@ def test_run_bad_json(tmp_path, capsys):
 
 def test_run_rejects_bad_variance(tmp_path, capsys):
     structure = tmp_path / "g.json"
-    gaussian = sb.Structure(models=sb.build_figure_right().models, true_index=0,
-                            reward=sb.RewardSpec("gaussian", 0.25))
+    gaussian = replace(sb.build_figure_right(), reward=sb.RewardSpec("gaussian", 0.25))
     sb.save_structure(gaussian, structure)
     text = structure.read_text()
     config = tmp_path / "c.json"
@@ -238,6 +238,75 @@ def test_run_fresh_structures(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["structure"]["source"] == "randomized-per-run"
+
+
+def test_fresh_structure_config_checked_after_one_structure(tmp_path, monkeypatch, capsys):
+    # the batch fields are checked once run 0's structure is drawn, not after all of them
+    drawn, real = [], simulation.generate_random
+    monkeypatch.setattr(simulation, "generate_random",
+                        lambda spec: drawn.append(spec) or real(spec))
+    config = {"horizon": 50, "runs": 100, "level": 1.5, "structure": {"builder": "random"},
+              "fresh_structure_per_run": True, "agents": [{"algorithm": "sucb"}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "level must be in (0.5, 1)" in capsys.readouterr().err
+    assert len(drawn) <= 1 and not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_overflowing_eta(tmp_path, monkeypatch, capsys):
+    # an asae period end past the largest float is refused before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(cli, "run_batch", no_run)
+    for eta, horizon in ((1e300, 20), (40.0, 2 ** 41 + 1), (40.0, 2 ** 41)):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"horizon": horizon, "runs": 2,
+                                    "structure": {"builder": "figure_right"},
+                                    "agents": [{"algorithm": "sucb"},
+                                               {"algorithm": "asae", "eta": eta}]}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"agents[1].eta = {eta} overflows the asae period schedule" in err, err
+    # the check computes the period ends a run does: at horizon 1 a run
+    # never ends its first period, at horizon 2 it computes the next end
+    right, asae = sb.build_figure_right(), sb.AgentConfig("asae", eta=1e300)
+    sb.ExperimentConfig(right, (asae,), horizon=1, runs=2)
+    sb.ExperimentConfig(right, (sb.AgentConfig("asae", eta=40.0),), horizon=2 ** 41 - 1, runs=2)
+    run = sb.simulate(sb.make_agent(right, asae), sb.Environment(right, 0), 1)
+    assert sum(run.pull_counts) == 1
+    with pytest.raises(ValueError, match=r"agents\[0\]\.eta"):
+        sb.ExperimentConfig(right, (asae,), horizon=2, runs=2)
+    with pytest.raises(OverflowError):
+        sb.simulate(sb.make_agent(right, asae), sb.Environment(right, 0), 2)
+
+
+def test_out_paths_checked_before_any_work(tmp_path, run_config, right_structure_file,
+                                           monkeypatch, capsys):
+    a_file, a_dir = tmp_path / "file", tmp_path / "dir"
+    a_dir.mkdir()
+    # a file output may replace a file
+    assert main(["gen", "--builder", "figure_right", "--out", str(a_file)]) == 0
+    assert sb.load_structure(a_file) == sb.build_figure_right()
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_run_config", "_structure_from_entry", "load_structure"):
+        monkeypatch.setattr(cli, name, no_work)
+    for argv in (["run", "--config", str(run_config), "--out", str(a_file)],
+                 ["run", "--config", str(run_config), "--out", str(a_file / "sub")],
+                 ["paper-suite", "--out", str(a_file)],
+                 ["gen", "--builder", "figure_right", "--out", str(a_dir)],
+                 ["gen", "--builder", "figure_right", "--out", str(a_file / "s.json")],
+                 ["theory", "--structure", right_structure_file, "--bound", "ucb", "--n", "100",
+                  "--out", str(a_dir)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert f"--out {argv[-1]} cannot be made a" in captured.err and not captured.out, argv
+    assert sb.load_structure(a_file) == sb.build_figure_right() and not os.listdir(a_dir)
 
 
 def test_run_structure_entry_errors(tmp_path, capsys):
@@ -461,6 +530,8 @@ def test_theory_usage_errors(right_structure_file, capsys):
             ("theory", ["--bound", "sae", "--alpha", "nan", "--beta", "2"], "alpha"),
             ("theory", ["--sequences", "--beta", "inf"], "beta"),
             ("theory", ["--sequences", "--beta", "nan"], "beta"),
+            ("theory", ["--sequences", "--alpha", "4", "--beta", "1e300"], "beta"),
+            ("classify", ["--alpha", "4", "--beta", "1e300"], "beta"),
             ("classify", ["--alpha", "inf", "--beta", "2"], "alpha")):
         argv = [command, "--structure", right_structure_file, "--n", "500000", *flags]
         assert main(argv) == 2, argv

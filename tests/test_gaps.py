@@ -2,9 +2,12 @@
 
 import math
 import pickle
+from dataclasses import replace
+
+import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import structbandit as sb
 import oracles
@@ -26,60 +29,120 @@ def fig_left():
     return sb.build_figure_left()
 
 
-def test_bandit_model_optimal_arm():
-    assert sb.BanditModel(REGION1).optimal_arm == 0
-    assert sb.BanditModel((1.0,)).optimal_arm == 0
-    assert sb.BanditModel(REGION4).optimal_arm == 1
+def test_structure_optimal_arms():
+    assert mk([REGION1, REGION4, REGION3], 0).optimal_arms.tolist() == [0, 1, 3]
+    assert mk([REGION4, REGION1], 0).optimal_arm == 1
+    assert mk([(1.0,)], 0).optimal_arm == 0
 
 
-def test_bandit_model_stored_optimum():
-    # optimal_arm and optimal_mean are set once on creation; equality, hash
-    # and repr see the means only, and a pickled copy keeps both
-    model = sb.BanditModel((0.2, 0.9, 0.4))
-    assert (model.optimal_arm, model.optimal_mean) == (1, 0.9)
-    assert repr(model) == "BanditModel(means=(0.2, 0.9, 0.4))"
-    assert model == sb.BanditModel([0.2, 0.9, 0.4])
-    assert hash(model) == hash(sb.BanditModel((0.2, 0.9, 0.4)))
-    copy = pickle.loads(pickle.dumps(model))
-    assert copy == model and (copy.optimal_arm, copy.optimal_mean) == (1, 0.9)
+def test_structure_stored_optimum():
+    # optimal_arms is set once on creation; equality sees the means, the
+    # true index, the reward and the provenance, a structure is unhashable,
+    # and a pickled copy or a replace() rebuilds both arrays read-only
+    structure = mk([(0.2, 0.9, 0.4), (0.5, 0.1, 0.3)], 1)
+    assert structure.optimal_arms.tolist() == [1, 0]
+    assert structure.means.max(axis=1).tolist() == [0.9, 0.5]
+    assert structure == mk([[0.2, 0.9, 0.4], [0.5, 0.1, 0.3]], 1)
+    assert structure != mk([[0.2, 0.9, 0.4], [0.5, 0.1, 0.3]], 0)
+    assert structure != mk([[0.2, 0.9, 0.4], [0.5, 0.1, 0.25]], 1)
+    assert structure != replace(structure, provenance={"builder": "x"})
+    assert structure != structure.means.tolist()
+    with pytest.raises(TypeError):
+        hash(structure)
+    gaussian = replace(structure, reward=sb.RewardSpec("gaussian", 0.5))
+    for copy in (pickle.loads(pickle.dumps(structure)), gaussian):
+        assert np.array_equal(copy.means, structure.means)
+        assert copy.optimal_arms.tolist() == [1, 0]
+        assert not copy.means.flags.writeable and not copy.optimal_arms.flags.writeable
+    assert pickle.loads(pickle.dumps(structure)) == structure
+    assert gaussian.reward == sb.RewardSpec("gaussian", 0.5) and gaussian != structure
 
 
-def test_bandit_model_validation():
-    with pytest.raises(ValueError):
-        sb.BanditModel((0.5, 1.2))
-    with pytest.raises(ValueError):
-        sb.BanditModel((-0.1, 0.5))
-    with pytest.raises(ValueError):
-        sb.BanditModel((0.7, 0.7, 0.2))
+def test_structure_mean_validation():
+    # the first offender names its model and arm: the lowest model, then
+    # its lowest arm, a mean outside [0, 1] before a tie in the same model
+    for rows, message in (
+            ([(0.5, 1.2)], r"^model 0, arm 1: mean 1\.2 outside \[0, 1\]$"),
+            ([(0.5, 0.2), (-0.1, 0.5)], r"^model 1, arm 0: mean -0\.1 outside \[0, 1\]$"),
+            ([(0.5, 0.2), (0.7, 0.7)], r"^model 1, arms 0 and 1: tied optimal means; "
+                                        r"a model needs a unique maximum$"),
+            ([(0.7, 0.7, 1.5)], r"^model 0, arm 2: mean 1\.5 outside"),
+            ([(0.7, 0.2, 0.7), (0.5, 2.0, 0.1)], r"^model 0, arms 0 and 2: tied"),
+            ([(0.5, 0.2), (0.3, math.nan)], r"^model 1, arm 1: mean nan outside"),
+            ([(0.5, 10 ** 400)], r"^model 0, arm 1: mean 1000+ outside"),
+            ([(1.0, 1.0)], r"^model 0, arms 0 and 1: tied")):
+        with pytest.raises(ValueError, match=message):
+            mk(rows, 0)
+
+
+# integers, nan, values just outside [0, 1], subnormals, both zeros, ties at 1.0
+_MEANS = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 10 ** 400, -10 ** 400, 0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.0000000000000002, 0.9999999999999999,
+                     math.nan, math.inf]),
+    st.floats(-0.25, 1.25))
+
+
+@st.composite
+def _row_sets(draw):
+    models, arms = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    extra = 2 if draw(st.booleans()) else 0  # rows of unequal length
+    rows = [draw(st.lists(_MEANS, min_size=arms, max_size=arms + extra)) for _ in range(models)]
+    return rows, draw(st.integers(-1, models))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+@example(([[1.0, 1], [5e-324, 0.0]], 0))  # a tie at 1.0 between an int and a float
+@example(([[5e-324, 0.0], [0.25, 0.5]], 1))  # a subnormal maximum
+@example(([[0.5, 0.7, 0.7], [0.5, 10 ** 400]], 0))  # a tie before an int past the floats
+def test_structure_checks_match_per_model_rules(case):
+    # Structure accepts exactly the row sets the per-model rules accept, and
+    # names the same first offender; unequal rows are refused by both
+    rows, true_index = case
+    expected = oracles.oracle_structure_error(rows, true_index)
+    try:
+        structure = sb.Structure(rows, true_index)
+    except ValueError as exc:
+        assert expected is not None, rows
+        if len({len(row) for row in rows}) <= 1:
+            assert str(exc) == expected, rows
+    else:
+        assert expected is None, rows
+        assert structure.means.tolist() == [[float(m) for m in row] for row in rows]
+        assert structure.optimal_arms.tolist() == [row.index(max(row)) for row in rows]
 
 
 def test_structure_validation():
-    with pytest.raises(ValueError):
-        sb.Structure(models=(), true_index=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^structure needs at least one model$"):
+        sb.Structure((), true_index=0)
+    with pytest.raises(ValueError, match="^model 0, no means; a model needs at least one arm$"):
+        sb.Structure([(), ()], true_index=0)
+    with pytest.raises(ValueError, match="^model 1 has 3 arms, expected 2 like model 0$"):
         mk([[0.1, 0.5], [0.1, 0.5, 0.9]], 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^true_index 3 out of range for 1 models$"):
         mk([[0.1, 0.5]], 3)
 
 
 def test_suboptimality_gap_examples():
-    model = sb.BanditModel(REGION1)
-    assert sb.suboptimality_gap(model, 2) == pytest.approx(0.2, abs=1e-12)
-    assert sb.suboptimality_gap(model, 0) == 0.0
-    second = sb.BanditModel((0.8, 0.2, 0.86))
-    assert sb.suboptimality_gap(second, 1) == pytest.approx(0.66, abs=1e-12)
+    assert sb.suboptimality_gap(REGION1, 2) == pytest.approx(0.2, abs=1e-12)
+    assert sb.suboptimality_gap(REGION1, 0) == 0.0
+    assert sb.suboptimality_gap((0.8, 0.2, 0.86), 1) == pytest.approx(0.66, abs=1e-12)
+    assert sb.suboptimality_gap(mk([REGION3], 0).means[0], 1) == pytest.approx(0.48, abs=1e-12)
     with pytest.raises(ValueError):
-        sb.suboptimality_gap(model, 4)
+        sb.suboptimality_gap(REGION1, 4)
 
 
 def test_model_gap_examples():
-    a, b = sb.BanditModel(REGION1), sb.BanditModel(REGION3)
+    a, b = REGION1, REGION3
     assert sb.model_gap(a, b, 3) == pytest.approx(0.38, abs=1e-12)
     assert sb.model_gap(a, b, 3) == sb.model_gap(b, a, 3)
     assert sb.model_gap(a, a, 1) == 0.0
-    assert sb.model_gap(a, sb.BanditModel(REGION2), 0) == 0.0
+    assert sb.model_gap(a, REGION2, 0) == 0.0
+    means = sb.build_figure_right().means
+    assert sb.model_gap(means[0], means[2], 3) == sb.model_gap(a, b, 3)
     with pytest.raises(ValueError):
-        sb.model_gap(a, sb.BanditModel((0.5, 0.2)), 0)
+        sb.model_gap(a, (0.5, 0.2), 0)
 
 
 def test_true_gaps(fig_right):
@@ -102,7 +165,7 @@ def test_optimal_arm_set_flat_variant():
     assert {0, 2}.issubset(arms)
     # arm 1 belongs iff it wins some third-region model
     third = range(2 * 17, 3 * 17)
-    wins = any(flat.models[k].optimal_arm == 1 for k in third)
+    wins = any(flat.optimal_arms[k] == 1 for k in third)
     assert (1 in arms) == wins
     assert wins  # the flat middle arm dominates the whole third region
 
@@ -223,12 +286,11 @@ def test_scalars_match_oracles(structure):
 @settings(max_examples=60, deadline=None)
 @given(structures_strategy())
 def test_set_and_floor_invariants(structure):
-    true = structure.true_model
     i_star = structure.optimal_arm
     floor = sb.delta_floor(structure)
     for arm in range(structure.arm_count):
         optimistic = sb.optimistic_models(structure, arm)
         assert optimistic <= sb.models_with_optimal_arm(structure, arm)
-    for model in structure.models:
-        if model.optimal_arm != i_star:
-            assert model.optimal_mean - model.means[i_star] >= floor - 1e-15
+    for k, means in enumerate(structure.means.tolist()):
+        if structure.optimal_arms[k] != i_star:
+            assert sb.suboptimality_gap(means, i_star) >= floor - 1e-15

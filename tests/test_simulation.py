@@ -262,7 +262,7 @@ def test_ucb1_lockstep_fresh_structures_and_workers(fig_right):
                                     checkpoints=(1, 200, 400))
     structures = [sb.generate_random(replace(spec, seed=sb.stream_seed(5, "structure", r)))
                   for r in range(3)]
-    assert len({s.models for s in structures}) == 3
+    assert len({s.means.tobytes() for s in structures}) == 3
     seeds = [sb.stream_seed(5, "ucb1", r) for r in range(3)]
     assert batch.runs["ucb1"] == scalar_ucb1(
         structures, sb.AgentConfig("ucb1", alpha=2.0), 400, (1, 200, 400), seeds)

@@ -15,13 +15,13 @@ def test_figure_left_frozen_values():
     assert structure.model_count == 51
     assert structure.arm_count == 3
     assert structure.true_index == 8
-    true = structure.true_model
-    assert true.means == pytest.approx((0.825, 0.8, 0.7), abs=1e-12)
+    true = structure.means[structure.true_index].tolist()
+    assert true == pytest.approx([0.825, 0.8, 0.7], abs=1e-12)
     assert structure.optimal_arm == 0
     # middle region: arm 2 plateaus at 0.86 and arm 1 drops to 0.2
     for k in range(17, 34):
-        assert structure.models[k].means[2] == pytest.approx(0.86, abs=1e-12)
-        assert structure.models[k].means[1] == pytest.approx(0.2, abs=1e-12)
+        assert structure.means[k, 2] == pytest.approx(0.86, abs=1e-12)
+        assert structure.means[k, 1] == pytest.approx(0.2, abs=1e-12)
     # arm 1 wins the third region where arm 2 has fallen below 0.8
     assert sb.optimal_arm_set(structure) == frozenset({0, 1, 2})
     assert sb.gamma_star(structure) > 0.0  # informative best arm
@@ -30,7 +30,7 @@ def test_figure_left_frozen_values():
 
 def test_figure_left_flat_variant():
     flat = sb.build_figure_left(informative_arm2=False)
-    assert all(m.means[1] == pytest.approx(0.8, abs=1e-12) for m in flat.models)
+    assert all(m[1] == pytest.approx(0.8, abs=1e-12) for m in flat.means.tolist())
     assert sb.optimal_arm_set(flat) == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
         sb.build_figure_left(grid_per_region=1)
@@ -40,19 +40,19 @@ def test_figure_right_frozen_values():
     structure = sb.build_figure_right()
     assert structure.model_count == 4
     assert structure.true_index == 0
-    rows = tuple(m.means for m in structure.models)
-    assert rows[0] == pytest.approx((0.8, 0.7, 0.6, 0.5), abs=1e-12)
-    assert rows[1] == pytest.approx((0.8, 0.7, 0.84, 0.1), abs=1e-12)
-    assert rows[2] == pytest.approx((0.8, 0.4, 0.6, 0.88), abs=1e-12)
-    assert rows[3] == pytest.approx((0.8, 0.92, 0.6, 0.5), abs=1e-12)
-    assert structure.models[2].optimal_arm == 3
+    rows = structure.means.tolist()
+    assert rows[0] == pytest.approx([0.8, 0.7, 0.6, 0.5], abs=1e-12)
+    assert rows[1] == pytest.approx([0.8, 0.7, 0.84, 0.1], abs=1e-12)
+    assert rows[2] == pytest.approx([0.8, 0.4, 0.6, 0.88], abs=1e-12)
+    assert rows[3] == pytest.approx([0.8, 0.92, 0.6, 0.5], abs=1e-12)
+    assert structure.optimal_arms[2] == 3
     assert sb.optimal_arm_set(structure) == frozenset({0, 1, 2, 3})
 
 
 def test_figure_right_override():
     low = sb.build_figure_right(arm1_fourth_model=0.2)
-    assert low.models[3].means == pytest.approx((0.8, 0.2, 0.6, 0.5), abs=1e-12)
-    assert low.models[3].optimal_arm == 0
+    assert low.means[3].tolist() == pytest.approx([0.8, 0.2, 0.6, 0.5], abs=1e-12)
+    assert low.optimal_arms[3] == 0
     assert sb.optimal_arm_set(low) == frozenset({0, 2, 3})
 
 
@@ -71,22 +71,21 @@ def test_generator_determinism_and_counts():
 def test_generator_hard_models():
     spec = sb.GeneratorSpec(arm_count=5, base_model_count=6, hard_model_count=10, seed=3)
     structure = sb.generate_random(spec)
-    true = structure.true_model
+    true = structure.means[structure.true_index].tolist()
     i_star = structure.optimal_arm
     clamped = set(structure.provenance["flags"]["clamped_models"])
     for k in range(spec.base_model_count, structure.model_count):
-        hard = structure.models[k]
-        diffs = [i for i in range(spec.arm_count) if hard.means[i] != true.means[i]]
+        hard = structure.means[k].tolist()
+        diffs = [i for i in range(spec.arm_count) if hard[i] != true[i]]
         assert len(diffs) <= 2
-        raised = hard.optimal_arm
+        raised = int(structure.optimal_arms[k])
         assert raised != i_star
         if k not in clamped:
-            assert hard.optimal_mean > true.optimal_mean
+            assert max(hard) > max(true)
             assert k in sb.optimistic_models(structure, raised)
         shrunk = [i for i in diffs if i != raised]
         for i in shrunk:
-            assert hard.means[i] == pytest.approx(
-                spec.shrink_factor * true.means[i], abs=1e-12)
+            assert hard[i] == pytest.approx(spec.shrink_factor * true[i], abs=1e-12)
 
 
 def test_generator_spec_validation():
@@ -213,4 +212,4 @@ def test_saved_means_survive_exactly(tmp_path):
     path = tmp_path / "p.json"
     sb.save_structure(structure, path)
     loaded = sb.load_structure(path)
-    assert loaded.models[0].means == structure.models[0].means
+    assert loaded.means.tolist() == structure.means.tolist()

@@ -117,6 +117,12 @@ def test_sequences_errors(fig_right):
                               (1.0, math.inf, "beta"), (1.0, math.nan, "beta")):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             sb.deterministic_sequences(fig_right, alpha=alpha, beta=beta, n=500_000)
+    # k_beta squares beta + 1, which must stay a finite float
+    for beta in (1e300, 1.5e154):
+        with pytest.raises(ValueError, match=r"beta = .* too large: \(beta \+ 1\)\^2 overflows"):
+            sb.deterministic_sequences(fig_right, alpha=4.0, beta=beta, n=1000)
+    sequences = sb.deterministic_sequences(fig_right, alpha=4.0, beta=1e154, n=1000)
+    assert math.isfinite(sequences.k_beta)
 
 
 @settings(max_examples=40, deadline=None)
