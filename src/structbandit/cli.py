@@ -80,12 +80,18 @@ def _checked(call, *args):
 def _out_path(path: str, directory: bool) -> None:
     """A UsageError naming ``path`` unless an output directory (``directory``)
     or file, which may replace a file, can be made there."""
+    what = "a directory" if directory else "a file"
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
     if not os.path.isdir(parent) or os.path.exists(path) and os.path.isdir(path) != directory:
-        raise UsageError(f"--out {path} cannot be made {'a directory' if directory else 'a file'}:"
-                         " a file or a directory is in the way")
+        raise UsageError(f"--out {path} cannot be made {what}: a file or a directory is in the way")
+    if not os.path.exists(path):  # each name that would be made, as the file system allows
+        limit = os.pathconf(parent, "PC_NAME_MAX")
+        for name in os.path.relpath(os.path.abspath(path), parent).split(os.sep):
+            if len(os.fsencode(name)) > limit:
+                raise UsageError(f"--out {path} cannot be made {what}: a name in it is longer "
+                                 f"than the {limit} bytes the file system allows")
 
 
 def _field(value, kind: str, name: str):

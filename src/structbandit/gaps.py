@@ -73,6 +73,13 @@ class Structure:
         k = next((k for k, n in enumerate(map(len, rows)) if n != arms), None)
         if k is not None:
             raise ValueError(f"model {k} has {len(rows[k])} arms, expected {arms} like model 0")
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf"):
+            for k, row in enumerate(rows):  # numbers only: np.array parses strings and bools
+                if not set(map(type, row)) <= {int, float}:
+                    i = next((i for i, m in enumerate(row) if isinstance(m, bool)
+                              or not isinstance(m, (int, float, np.integer, np.floating))), None)
+                    if i is not None:
+                        raise ValueError(f"model {k}, arm {i}: mean {row[i]!r} is not a number")
         try:
             means = np.array(rows, dtype=np.float64)
         except OverflowError:  # an int too large for a float, out of range like nan

@@ -55,18 +55,22 @@ def read_json(path):
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _nudge_ties(means: list[float]) -> list[float]:
-    top = means.index(max(means))  # the lowest index on ties
-    second = max(means[:top] + means[top + 1:], default=float("-inf"))
-    if means[top] - second < _TIE_WIDTH:
-        means = list(means)
-        means[top] = min(means[top] + _TIE_NUDGE, 1.0)
-        if means[top] - second < _TIE_WIDTH:
-            raise ValueError(
-                "tied optimal arms could not be separated by nudging "
-                f"(means {means[top]} and {second} at the clamp)"
-            )
-    return means
+def _nudge_ties(rows) -> np.ndarray:
+    """The mean rows, at least two a row, as a float matrix.  Where a row's
+    largest mean (the lowest index on ties) is within _TIE_WIDTH of its next
+    largest, that mean is raised by _TIE_NUDGE, at most to 1; a ValueError
+    names the lowest row that this leaves tied."""
+    rows = np.array(rows, dtype=np.float64)
+    top = rows.argmax(axis=1)
+    second = np.partition(rows, -2, axis=1)[:, -2]
+    tied = np.flatnonzero(rows.max(axis=1) - second < _TIE_WIDTH)
+    rows[tied, top[tied]] = np.minimum(rows[tied, top[tied]] + _TIE_NUDGE, 1.0)
+    stuck = tied[rows[tied, top[tied]] - second[tied] < _TIE_WIDTH]
+    if len(stuck):
+        k = stuck[0]
+        raise ValueError("tied optimal arms could not be separated by nudging "
+                         f"(means {float(rows[k, top[k]])} and {float(second[k])} at the clamp)")
+    return rows
 
 
 def _segment(f: float, start: float, end: float) -> float:
@@ -106,7 +110,7 @@ def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) 
     for region in range(3):
         for j in range(grid_per_region):
             f = (j + 0.5) / grid_per_region
-            rows.append(_nudge_ties([arm0(region, f), arm1(region, f), arm2(region, f)]))
+            rows.append([arm0(region, f), arm1(region, f), arm2(region, f)])
 
     # Model nearest the centre of region 1 (grid index closest to f = 1/2).
     true_index = min(
@@ -114,7 +118,7 @@ def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) 
         key=lambda j: (abs((j + 0.5) / grid_per_region - 0.5), j),
     )
     return Structure(
-        rows,
+        _nudge_ties(rows),
         true_index=true_index,
         reward=RewardSpec("bernoulli"),
         provenance={
@@ -143,7 +147,7 @@ def build_figure_right(arm1_fourth_model: float = 0.92) -> Structure:
         (0.8, float(arm1_fourth_model), 0.6, 0.5),
     ]
     return Structure(
-        [_nudge_ties(list(row)) for row in rows],
+        _nudge_ties(rows),
         true_index=0,
         reward=RewardSpec("bernoulli"),
         provenance={
@@ -202,34 +206,31 @@ def generate_random(spec: GeneratorSpec) -> Structure:
     """Draw a structure from ``spec``; the same spec always yields the same
     structure, independent of platform."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-    base = rng.random((spec.base_model_count, spec.arm_count))
+    base = _nudge_ties(rng.random((spec.base_model_count, spec.arm_count)))
     true_index = int(rng.integers(spec.base_model_count))
+    true_means = base[true_index]
+    i_star = int(true_means.argmax())
 
-    rows = [list(map(float, row)) for row in base]
-    for k in range(len(rows)):
-        rows[k] = _nudge_ties(rows[k])
-
-    true_means = rows[true_index]
-    i_star = max(range(spec.arm_count), key=lambda i: (true_means[i], -i))
-    best = true_means[i_star]
-
-    clamped: list[int] = []
-    for h in range(spec.hard_model_count):
-        means = list(true_means)
-        raise_pool = [i for i in range(spec.arm_count) if i != i_star]
-        raised = raise_pool[int(rng.integers(len(raise_pool)))]
-        eps = float(rng.random())
+    # per hard model, in draw order: the raised arm's place among the arms
+    # but i_star, a uniform in [1e-6, 1), the shrunk arm's place among the rest
+    draws = []
+    for _ in range(spec.hard_model_count):
+        raise_at, eps = rng.integers(spec.arm_count - 1), rng.random()
         while eps < 1e-6:
-            eps = float(rng.random())
-        lifted = best + spec.optimistic_scale * eps
-        if lifted > 1.0:
-            lifted = 1.0
-            clamped.append(spec.base_model_count + h)
-        means[raised] = lifted
-        shrink_pool = [i for i in range(spec.arm_count) if i not in (i_star, raised)]
-        shrunk = shrink_pool[int(rng.integers(len(shrink_pool)))]
-        means[shrunk] = spec.shrink_factor * means[shrunk]
-        rows.append(_nudge_ties(means))
+            eps = rng.random()
+        draws.append((raise_at, eps, rng.integers(spec.arm_count - 2)))
+    raise_at, eps, shrink_at = np.array(draws).reshape(-1, 3).T
+    raised = (raise_at + (raise_at >= i_star)).astype(np.intp)
+    shrunk = shrink_at + (shrink_at >= np.minimum(raised, i_star))
+    shrunk = (shrunk + (shrunk >= np.maximum(raised, i_star))).astype(np.intp)
+    lifted = true_means[i_star] + spec.optimistic_scale * eps
+
+    hard = np.tile(true_means, (spec.hard_model_count, 1))
+    models = np.arange(spec.hard_model_count)
+    hard[models, raised] = np.minimum(lifted, 1.0)
+    hard[models, shrunk] *= spec.shrink_factor
+    rows = np.vstack([base, _nudge_ties(hard)])
+    clamped = (spec.base_model_count + np.flatnonzero(lifted > 1.0)).tolist()
 
     return Structure(
         rows,
@@ -259,11 +260,16 @@ def save_structure(structure: Structure, path) -> None:
         "arm_count": structure.arm_count,
         "true_index": structure.true_index,
         "reward": {"kind": structure.reward.kind, "params": reward_params},
-        "models": structure.means.tolist(),
+        "models": None,
         "provenance": structure.provenance,
     }
+    # json writes a finite float as its repr; the rows go in as that text,
+    # indented as json.dumps(doc, indent=1) would indent them
+    head, tail = json.dumps(doc, indent=1).split('\n "models": null', 1)
+    rows = ",\n  ".join("[\n   " + ",\n   ".join(map(repr, row)) + "\n  ]"
+                        for row in structure.means.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
+        fh.write(f'{head}\n "models": [\n  {rows}\n ]{tail}\n')
 
 
 # the structure file's required fields and their JSON kinds
@@ -289,10 +295,6 @@ def load_structure(path) -> Structure:
             if not isinstance(row, list) or len(row) != doc["arm_count"]:
                 raise ValueError(f"model {k} has {len(row) if isinstance(row, list) else 'no'} "
                                  f"means, expected arm_count = {doc['arm_count']}")
-            # JSON numbers only (a bool is no number); Structure checks the values
-            if not set(map(type, row)) <= {int, float}:
-                i = next(i for i, m in enumerate(row) if type(m) not in (int, float))
-                raise ValueError(f"model {k}, arm {i}: mean {row[i]!r} is not a number")
 
         reward = doc.get("reward", {"kind": "bernoulli"})
         if (not isinstance(reward, dict) or "kind" not in reward

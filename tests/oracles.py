@@ -278,3 +278,49 @@ def oracle_structure_error(rows, true_index):
     if not 0 <= true_index < len(rows):
         return f"true_index {true_index} out of range for {len(rows)} models"
     return None
+
+
+def _oracle_nudge_ties(means):
+    top = means.index(max(means))  # the lowest index on ties
+    second = max(means[:top] + means[top + 1:], default=float("-inf"))
+    if means[top] - second < 1e-9:
+        means = list(means)
+        means[top] = min(means[top] + 1e-6, 1.0)
+        if means[top] - second < 1e-9:
+            raise ValueError(
+                "tied optimal arms could not be separated by nudging "
+                f"(means {means[top]} and {second} at the clamp)"
+            )
+    return means
+
+
+def oracle_generate_random(spec):
+    """The random generator as it was written one model at a time, over
+    lists of Python floats, with the same Philox draws in the same order."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+    base = rng.random((spec.base_model_count, spec.arm_count))
+    true_index = int(rng.integers(spec.base_model_count))
+
+    rows = [_oracle_nudge_ties(list(map(float, row))) for row in base]
+    true_means = rows[true_index]
+    i_star = max(range(spec.arm_count), key=lambda i: (true_means[i], -i))
+    best = true_means[i_star]
+
+    clamped = []
+    for h in range(spec.hard_model_count):
+        means = list(true_means)
+        raise_pool = [i for i in range(spec.arm_count) if i != i_star]
+        raised = raise_pool[int(rng.integers(len(raise_pool)))]
+        eps = float(rng.random())
+        while eps < 1e-6:
+            eps = float(rng.random())
+        lifted = best + spec.optimistic_scale * eps
+        if lifted > 1.0:
+            lifted = 1.0
+            clamped.append(spec.base_model_count + h)
+        means[raised] = lifted
+        shrink_pool = [i for i in range(spec.arm_count) if i not in (i_star, raised)]
+        shrunk = shrink_pool[int(rng.integers(len(shrink_pool)))]
+        means[shrunk] = spec.shrink_factor * means[shrunk]
+        rows.append(_oracle_nudge_ties(means))
+    return rows, true_index, clamped

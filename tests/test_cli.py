@@ -306,6 +306,18 @@ def test_out_paths_checked_before_any_work(tmp_path, run_config, right_structure
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert f"--out {argv[-1]} cannot be made a" in captured.err and not captured.out, argv
+    # a name longer than the file system allows (255 bytes on common ones),
+    # as the output or as a directory to be made on the way to it
+    long = "a" * 300
+    for argv in (["run", "--config", str(run_config), "--out", str(a_dir / long)],
+                 ["paper-suite", "--out", str(tmp_path / "new" / long / "suite")],
+                 ["gen", "--builder", "figure_right", "--out", str(a_dir / f"{long}.json")],
+                 ["theory", "--structure", right_structure_file, "--bound", "ucb", "--n", "100",
+                  "--out", str(tmp_path / long / "t.json")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (f"--out {argv[-1]} cannot be made a" in captured.err
+                and "a name in it is longer than the" in captured.err and not captured.out), argv
     assert sb.load_structure(a_file) == sb.build_figure_right() and not os.listdir(a_dir)
 
 

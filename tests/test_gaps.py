@@ -70,7 +70,14 @@ def test_structure_mean_validation():
             ([(0.7, 0.2, 0.7), (0.5, 2.0, 0.1)], r"^model 0, arms 0 and 2: tied"),
             ([(0.5, 0.2), (0.3, math.nan)], r"^model 1, arm 1: mean nan outside"),
             ([(0.5, 10 ** 400)], r"^model 0, arm 1: mean 1000+ outside"),
-            ([(1.0, 1.0)], r"^model 0, arms 0 and 1: tied")):
+            ([(1.0, 1.0)], r"^model 0, arms 0 and 1: tied"),
+            # numbers only, named before any range or tie: np.array parses
+            # "0.5" and takes True for 1
+            ([("0.5", "0.25")], r"^model 0, arm 0: mean '0\.5' is not a number$"),
+            ([(True, 0.25), (0.2, 0.6)], r"^model 0, arm 0: mean True is not a number$"),
+            ([(0.2, 0.6), (0.5, 1.5), (2.0, False)],
+             r"^model 2, arm 1: mean False is not a number$"),
+            ([(0.7, 0.7), (0.2, "x")], r"^model 1, arm 1: mean 'x' is not a number$")):
         with pytest.raises(ValueError, match=message):
             mk(rows, 0)
 

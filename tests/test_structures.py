@@ -4,10 +4,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import structbandit as sb
+import oracles
 from helpers import mk
+from structbandit.structures import _nudge_ties
 
 
 def test_figure_left_frozen_values():
@@ -69,23 +73,73 @@ def test_generator_determinism_and_counts():
 
 
 def test_generator_hard_models():
-    spec = sb.GeneratorSpec(arm_count=5, base_model_count=6, hard_model_count=10, seed=3)
+    # at optimistic_scale 1 the smallest spec clamps hard models at 1, so
+    # the reference test below, which takes it as an example, sees clamping
+    for spec in (sb.GeneratorSpec(arm_count=5, base_model_count=6, hard_model_count=10, seed=3),
+                 sb.GeneratorSpec(arm_count=3, base_model_count=1, hard_model_count=8,
+                                  optimistic_scale=1.0)):
+        structure = sb.generate_random(spec)
+        true = structure.means[structure.true_index].tolist()
+        i_star = structure.optimal_arm
+        clamped = set(structure.provenance["flags"]["clamped_models"])
+        for k in range(spec.base_model_count, structure.model_count):
+            hard = structure.means[k].tolist()
+            diffs = [i for i in range(spec.arm_count) if hard[i] != true[i]]
+            assert len(diffs) <= 2
+            raised = int(structure.optimal_arms[k])
+            assert raised != i_star
+            if k not in clamped:
+                assert max(hard) > max(true)
+                assert k in sb.optimistic_models(structure, raised)
+            shrunk = [i for i in diffs if i != raised]
+            for i in shrunk:
+                assert hard[i] == pytest.approx(spec.shrink_factor * true[i], abs=1e-12)
+    assert clamped and len(clamped) < spec.hard_model_count
+
+
+_SPECS = st.builds(sb.GeneratorSpec, arm_count=st.integers(3, 7),
+                   base_model_count=st.integers(1, 6), hard_model_count=st.integers(0, 12),
+                   optimistic_scale=st.sampled_from([1.0, 0.5, 0.2, 1e-3]),
+                   shrink_factor=st.sampled_from([0.1, 0.5, 0.999]),
+                   seed=st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS)
+@example(sb.GeneratorSpec(arm_count=3, base_model_count=1, hard_model_count=0,
+                          optimistic_scale=1.0))
+@example(sb.GeneratorSpec(arm_count=3, base_model_count=1, hard_model_count=8,
+                          optimistic_scale=1.0))
+def test_generator_matches_model_by_model_reference(spec):
+    # the matrix generator draws what the per-model loop drew, bit for bit,
+    # and clamps the same hard models (optimistic_scale 1 clamps often)
     structure = sb.generate_random(spec)
-    true = structure.means[structure.true_index].tolist()
-    i_star = structure.optimal_arm
-    clamped = set(structure.provenance["flags"]["clamped_models"])
-    for k in range(spec.base_model_count, structure.model_count):
-        hard = structure.means[k].tolist()
-        diffs = [i for i in range(spec.arm_count) if hard[i] != true[i]]
-        assert len(diffs) <= 2
-        raised = int(structure.optimal_arms[k])
-        assert raised != i_star
-        if k not in clamped:
-            assert max(hard) > max(true)
-            assert k in sb.optimistic_models(structure, raised)
-        shrunk = [i for i in diffs if i != raised]
-        for i in shrunk:
-            assert hard[i] == pytest.approx(spec.shrink_factor * true[i], abs=1e-12)
+    rows, true_index, clamped = oracles.oracle_generate_random(spec)
+    assert structure.means.tobytes() == np.array(rows).tobytes()
+    assert structure.true_index == true_index
+    assert structure.provenance == {
+        "builder": "random", "seed": spec.seed,
+        "flags": {"arm_count": spec.arm_count, "base_model_count": spec.base_model_count,
+                  "hard_model_count": spec.hard_model_count,
+                  "optimistic_scale": spec.optimistic_scale,
+                  "shrink_factor": spec.shrink_factor, "clamped_models": clamped}}
+
+
+def test_stuck_tie_is_refused():
+    # a tie at the clamp cannot be nudged apart: the message names both
+    # means, of the lower row when two are stuck, as the per-row loop did
+    near, tied = [1.0, 1.0 - 1e-10], [1.0, 1.0]
+    for rows, means in (([near], "1.0 and 0.9999999999"), ([tied], "1.0 and 1.0"),
+                        ([[0.5, 0.2], near, tied], "1.0 and 0.9999999999"),
+                        ([[0.5, 0.2], tied, near], "1.0 and 1.0")):
+        message = rf"^tied optimal arms could not be separated by nudging \(means {means} at"
+        with pytest.raises(ValueError, match=message):
+            _nudge_ties(rows)
+        with pytest.raises(ValueError, match=message):
+            [oracles._oracle_nudge_ties(row) for row in rows]
+    # below the clamp a near tie is nudged apart, the lowest index winning
+    assert _nudge_ties([[0.5, 0.5, 0.2], [0.3, 0.7, 0.7 - 1e-10]]).tolist() == [
+        [0.5 + 1e-6, 0.5, 0.2], [0.3, 0.7 + 1e-6, 0.7 - 1e-10]]
 
 
 def test_generator_spec_validation():
@@ -115,6 +169,13 @@ def test_save_load_round_trip(tmp_path):
     ):
         path = tmp_path / "s.json"
         sb.save_structure(structure, path)
+        # the text json.dumps writes for the whole document, byte for byte
+        assert path.read_bytes() == (json.dumps({
+            "arm_count": structure.arm_count, "true_index": structure.true_index,
+            "reward": {"kind": structure.reward.kind,
+                       "params": {"variance": 0.5} if structure.reward.kind == "gaussian" else {}},
+            "models": structure.means.tolist(), "provenance": structure.provenance},
+            indent=1) + "\n").encode()
         loaded = sb.load_structure(path)
         assert loaded == structure
         assert loaded.reward == structure.reward
