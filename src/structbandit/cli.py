@@ -440,7 +440,8 @@ def _parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--sequences", action="store_true",
                           help="emit the deterministic elimination tables")
     p_theory.add_argument("--alpha", type=float, default=2.0)
-    p_theory.add_argument("--beta", type=float, default=1.0)
+    p_theory.add_argument("--beta", type=float, default=1.0,
+                          help="--bound sae and --sequences need it above 1")
     p_theory.add_argument("--n", type=int, default=None)
     p_theory.add_argument("--out", default=None, help="write the JSON document here")
     p_theory.set_defaults(func=cmd_theory)

@@ -172,7 +172,8 @@ def worst_separations(structure: Structure, extra=(), sep=None) -> np.ndarray:
     else:
         where = np.zeros(structure.arm_count, dtype=bool)
         where[list(extra)] = True
-    worst = np.max(sep, axis=1, where=where, initial=0.0)
+    # separations are >= +0.0, so zeroing the arms outside `where` keeps the max's bits
+    worst = np.where(where, sep, 0.0).max(axis=1)
     return np.maximum(worst, sep[np.arange(len(arms)), arms])
 
 

@@ -17,11 +17,10 @@ reproduce, such as timing).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,6 +120,7 @@ def default_checkpoints(horizon: int, count: int = 200) -> tuple[int, ...]:
 
 def stream_seed(base_seed: int, algorithm: str, run: int) -> int:
     """Stable 128-bit seed for one (algorithm, run) stream."""
+    import hashlib  # loads OpenSSL, which only a batch needs
     digest = hashlib.sha256(f"{base_seed}:{algorithm}:{run}".encode()).digest()
     return int.from_bytes(digest[:16], "big")
 
@@ -212,6 +212,17 @@ _DISPATCH_ORDER = ("ucb1", "sucb", "asae", "sae")
 _worker_structures: tuple[Structure, ...] = ()
 
 
+def __getattr__(name: str):
+    """Resolve ``ProcessPoolExecutor`` on first access (PEP 562): its import
+    stack (multiprocessing, logging, socket, subprocess, ...) loads only for
+    a batch with more than one worker, or when a caller reads or replaces it."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _install(structures: tuple[Structure, ...]) -> None:
     global _worker_structures
     _worker_structures = structures
@@ -284,8 +295,9 @@ def _run_and_aggregate(config: ExperimentConfig, structures: tuple[Structure, ..
         blocks = [_run_task(structures, *task) for task in tasks]
     else:
         # a pool starts all of its workers at the first submit, so no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_install,
-                                 initargs=(structures,)) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor  # replaceable, see __getattr__
+        with pool_class(max_workers=min(workers, len(tasks)), initializer=_install,
+                        initargs=(structures,)) as pool:
             blocks = list(pool.map(_worker_task, *zip(*tasks), chunksize=1))
     slots = {agent_config.algorithm: [None] * config.runs for agent_config in config.agents}
     for (agent_config, _, _, indices, _), block in zip(tasks, blocks):

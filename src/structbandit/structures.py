@@ -21,6 +21,10 @@ from .gaps import RewardSpec, Structure
 _TIE_WIDTH = 1e-9
 _TIE_NUDGE = 1e-6
 
+# The most means (models x arms) a builder makes, 8 MB as float64: 133 times
+# the largest reference structure (150 x 50), checked before any allocation.
+MAX_MEANS = 10**6
+
 
 # a JSON kind, as a constructor annotation names it -> (Python types, words)
 _JSON_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
@@ -94,6 +98,9 @@ def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) 
     """
     if grid_per_region < 2:
         raise ValueError(f"grid_per_region must be at least 2, got {grid_per_region}")
+    if 9 * grid_per_region > MAX_MEANS:  # 3 * grid_per_region models x 3 arms
+        raise ValueError(f"grid_per_region must be at most {MAX_MEANS // 9} (3 arms x 3 regions "
+                         f"x grid_per_region means, at most {MAX_MEANS}), got {grid_per_region}")
 
     def arm0(region: int, f: float) -> float:
         return (_segment(f, 0.85, 0.8), _segment(f, 0.8, 0.4), 0.4)[region]
@@ -194,6 +201,10 @@ class GeneratorSpec:
             raise ValueError("base_model_count must be positive")
         if self.hard_model_count < 0:
             raise ValueError("hard_model_count must be non-negative")
+        means = (self.base_model_count + self.hard_model_count) * self.arm_count
+        if means > MAX_MEANS:
+            raise ValueError(f"(base_model_count + hard_model_count) x arm_count is {means} "
+                             f"means, above the limit of {MAX_MEANS}")
         if not 0 < self.optimistic_scale <= 1:
             raise ValueError("optimistic_scale must be in (0, 1]")
         if not 0 < self.shrink_factor < 1:

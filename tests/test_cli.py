@@ -441,6 +441,36 @@ def test_gen_validation(tmp_path, capsys):
     assert "arm_count" in capsys.readouterr().err
 
 
+def test_builders_refuse_more_than_max_means(tmp_path, capsys):
+    # each sizing option one step above the bound; the check comes before any
+    # array is built, so nothing here allocates
+    assert sb.structures.MAX_MEANS == 10**6
+    sb.GeneratorSpec(arm_count=50, base_model_count=19_950, hard_model_count=50)  # at the bound
+    out = str(tmp_path / "s.json")
+    for flags in (["--arms", "6667"], ["--arms", "50", "--base-models", "19951"],
+                  ["--arms", "50", "--hard-models", "19901"]):
+        assert main(["gen", "--builder", "random", "--out", out, *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert "bad structure options for builder 'random'" in err, flags
+        assert ("(base_model_count + hard_model_count) x arm_count is 1000050 means, "
+                "above the limit of 1000000") in err, flags
+    path = tmp_path / "c.json"
+    base = {"horizon": 50, "runs": 2, "agents": [{"algorithm": "sucb"}]}
+    for fresh, entry, fields in (
+            (False, {"builder": "figure_left", "grid_per_region": 111_112}, "grid_per_region"),
+            (False, {"builder": "random", "arm_count": 6667}, "arm_count"),
+            (True, {"builder": "random", "base_model_count": 19_951, "arm_count": 50},
+             "base_model_count"),
+            (True, {"builder": "random", "hard_model_count": 19_901, "arm_count": 50},
+             "hard_model_count")):
+        path.write_text(json.dumps({**base, "structure": entry, "fresh_structure_per_run": fresh}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, entry
+        err = capsys.readouterr().err
+        assert f"bad structure options for builder {entry['builder']!r}" in err, entry
+        assert fields in err and "1000000" in err, entry
+    assert not os.path.exists(out) and not (tmp_path / "o").exists()
+
+
 def test_classify_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["classify", "--structure", missing]) == 2

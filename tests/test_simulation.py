@@ -1,7 +1,11 @@
 """Batch runner, seeding, Student-t machinery, and output files."""
 
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -341,6 +345,25 @@ def test_dispatch_longest_first_with_installed_structures(monkeypatch):
     assert sb.simulation._worker_structures == ()
     assert list(serial.runs) == list(parallel.runs) == [a.algorithm for a in SUITE]
     assert serial.runs == parallel.runs and serial.aggregates == parallel.aggregates
+
+
+def test_import_loads_neither_the_pool_nor_openssl():
+    # a command without a parallel batch never needs the process pool's import
+    # stack or hashlib, so importing the CLI loads neither
+    src = os.path.dirname(os.path.dirname(sb.__file__))
+    code = ("import sys; before = set(sys.modules); import structbandit.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    added = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout.split())
+    assert "structbandit.simulation" in added
+    heavy = {"multiprocessing", "concurrent.futures.process", "logging", "subprocess", "_hashlib"}
+    assert not heavy & added
+    # the pool still resolves, on first use, to the standard one
+    assert sb.simulation.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no attribute 'NoSuchName'"):
+        sb.simulation.NoSuchName
 
 
 def test_pool_never_larger_than_the_task_count(monkeypatch, fig_right):
