@@ -370,31 +370,25 @@ class _EliminationAgent(_Agent):
                 n += reps * len(live)
             block = np.concatenate(passes)[:limit]
             limit = len(block)
-        if isinstance(block, np.ndarray) or not self._reward.kind == env.reward.kind == "bernoulli":
+        if isinstance(block, np.ndarray):
             self._observe_block(block, env.take(block, limit))
-        else:
-            # rewards drawn as 0/1 need no check, and their sum is a count
+        elif env.reward.kind == "bernoulli":
+            # rewards drawn as 0/1 sum to their count of ones
             self._observe_settled(block, limit, self._rewards[block] + env.hits(block, limit))
+        else:
+            self._observe_settled(block, limit, _fold(self._rewards[block], env.take(block, limit)))
         return block, limit
 
-    def _observe_block(self, arms: int | np.ndarray, rewards: np.ndarray) -> None:
-        """Observe a block of arms from _play at once, with its rewards.
+    def _observe_block(self, arms: np.ndarray, rewards: np.ndarray) -> None:
+        """Observe a round robin from _play at once, with its rewards.
 
         Leaves the state that as many select/observe calls leave: the same
-        reward checks, counts, reward sums and round-robin position, then
-        the boundary work of the last step (inside a block no earlier step
-        has any).  Sums of 0/1 rewards are integers, exact in any order;
-        other sums are folded per arm left to right.
+        counts, reward sums and round-robin position, then the boundary
+        work of the last step (inside a block no earlier step has any).
+        Sums of 0/1 rewards are integers, exact in any order; other sums
+        are folded per arm left to right.
         """
         bernoulli = self._reward.kind == "bernoulli"
-        ok = (rewards == 0.0) | (rewards == 1.0) if bernoulli else np.isfinite(rewards)
-        if not ok.all():
-            self._check_reward(float(rewards[np.argmin(ok)]))
-        if not isinstance(arms, np.ndarray):
-            total = self._rewards[arms]
-            self._observe_settled(arms, len(rewards), total + float(np.count_nonzero(rewards))
-                                  if bernoulli else _fold(total, rewards))
-            return
         last = int(arms[-1])
         self._rr_pos = (self._active_arms.index(last) + 1) % len(self._active_arms)
         counts = np.bincount(arms, minlength=self.arm_count).tolist()
@@ -606,9 +600,7 @@ class SucbAgent(_Agent):
         Step s qualifies when no other arm wakes at coeff*log(s) and, with
         the mean and count after step s-1, a's refit keeps [lo, hi): the
         run's end models pass and its outer neighbours fail.  The passing
-        models being contiguous, that is exactly the refit's outcome.  A
-        reward observe would reject ends the stretch, so the next select/
-        observe raises observe's error.
+        models being contiguous, that is exactly the refit's outcome.
         """
         arm = self._observed
         lo, hi = self._lo[arm], self._hi[arm]
@@ -621,8 +613,7 @@ class SucbAgent(_Agent):
         outer_lo = column[lo - 1] if lo > 0 else math.inf
         outer_hi = column[hi] if hi < len(column) else math.inf
         wake = min(self._wake[:arm] + self._wake[arm + 1:], default=math.inf)
-        binary = self._reward.kind == "bernoulli"
-        mu, sigma, draw_binary = env._means[arm], env._sigma, env.reward.kind == "bernoulli"
+        mu, sigma, binary = env._means[arm], env._sigma, env.reward.kind == "bernoulli"
         coeff, count, total, step = self._coeff, self._pulls[arm], self._rewards[arm], self._step
         n = 0
         while n < limit:
@@ -634,12 +625,9 @@ class SucbAgent(_Agent):
             if not (scaled < wake and a * a < rad2 and b * b < rad2
                     and not c * c < rad2 and not d * d < rad2):
                 break
-            # the reward pull gives, with observe's check
+            # the reward pull gives
             draw = draws[start + n]
-            reward = (1.0 if draw < mu else 0.0) if draw_binary else mu + sigma * draw
-            if not ((reward == 0.0 or reward == 1.0) if binary else math.isfinite(reward)):
-                break
-            total += reward
+            total += (1.0 if draw < mu else 0.0) if binary else mu + sigma * draw
             count += 1
             step += 1
             n += 1
@@ -749,21 +737,16 @@ def make_agent(structure: Structure, config: AgentConfig) -> _Agent:
 
 
 class Environment:
-    """Reward source for the true model of a structure.
+    """Reward source for the true model of a structure, by its reward spec.
 
     Draws are buffered in fixed-size chunks from a counter-based generator,
-    so a given seed always yields the same reward stream.  An explicit
-    reward spec overrides the structure's (Gaussian support for the
-    lower-bound construction).
+    so a given seed always yields the same reward stream.
     """
 
-    def __init__(self, structure: Structure, seed: int | None = 0,
-                 reward: RewardSpec | None = None) -> None:
+    def __init__(self, structure: Structure, seed: int | None = 0) -> None:
         self.structure = structure
         self.seed = seed
-        self.reward = reward if reward is not None else structure.reward
-        if self.reward.kind == "gaussian" and not self.reward.variance > 0.0:
-            raise ValueError("gaussian reward requires variance > 0")
+        self.reward = structure.reward
         self._mean_array = structure.means[structure.true_index]
         self._means = self._mean_array.tolist()
         self._sigma = math.sqrt(self.reward.variance)
@@ -880,6 +863,11 @@ def simulate(agent, environment: Environment, horizon: int,
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
+    # blocks and stretches fold the drawn rewards unchecked: one check here
+    reward = getattr(agent, "_reward", None)
+    if reward is not None and reward.kind != environment.reward.kind:
+        raise ValueError(f"agent expects {reward.kind} rewards, environment draws "
+                         f"{environment.reward.kind}")
     cps = _checkpoint_list(horizon, checkpoints)
     gaps = true_gaps(environment.structure)
     gap_array = np.array(gaps)
@@ -966,22 +954,14 @@ def simulate_ucb1(structures, config: AgentConfig, horizon: int, checkpoints,
             for env in envs:
                 env._refill()
             draws = np.stack([env._buf for env in envs], axis=1)
-            if gaussian:
-                # a reward is means[arm] + sigma * draw, finite where this is
-                draws = draws * sigma
-                ok = np.isfinite(draws[:horizon - t + 1])
-                if not ok.all():
-                    step, row = np.unravel_index(np.argmin(ok), ok.shape)
-                    raise ValueError(f"reward must be finite, got {float(draws[step, row])} "
-                                     f"in the run with seed {seeds[row]}")
+            if gaussian:  # a reward is means[arm] + sigma * draw
+                draws *= sigma
         if t <= arm_count:
             flat = rows + (t - 1)
         else:
             c = config.alpha * math.log(t)
             flat = (sums / pulls + np.sqrt(c / pulls)).argmax(axis=1) + rows
         mu = means[flat]
-        # Bernoulli rewards are 0/1 by construction, as Environment.pull
-        # gives them
         reward = mu + draws[j] if gaussian else draws[j] < mu
         pulls_flat[flat] += 1.0
         sums_flat[flat] += reward

@@ -54,18 +54,9 @@ class UsageError(Exception):
     """Bad invocation or config; maps to exit code 2."""
 
 
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is None:
-        raw = os.environ.get("STRUCTBANDIT_WORKERS")
-        if raw is None:
-            return 1
-        try:
-            flag_value = int(raw)
-        except ValueError:
-            raise UsageError(f"STRUCTBANDIT_WORKERS must be an integer, got {raw!r}")
-    if flag_value < 1:
-        raise UsageError(f"worker count must be >= 1, got {flag_value}")
-    return flag_value
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {workers}")
 
 
 def _checked(call, *args):
@@ -113,18 +104,16 @@ def _check_options(make, options: dict, where: str) -> None:
             json_value(value, parameters[name].annotation, f"config field '{where}.{name}'")
 
 
-# builder name -> (the entry's options parsed: a structure, or the random
-# builder's GeneratorSpec; gen flags -> those options)
-_BUILDERS = {
-    "figure_left": (build_figure_left,
-                    lambda args: {"informative_arm2": not args.no_informative_arm2}),
-    "figure_right": (build_figure_right, lambda args: {"arm1_fourth_model": args.arm1_fourth}),
-    "random": (GeneratorSpec,
-               lambda args: {"arm_count": args.arms, "base_model_count": args.base_models,
-                             "hard_model_count": args.hard_models,
-                             "optimistic_scale": args.optimistic_scale,
-                             "shrink_factor": args.shrink_factor, "seed": args.seed or 0}),
-}
+# builder name -> what an entry's options build: a structure, or GeneratorSpec
+_BUILDERS = {"figure_left": build_figure_left, "figure_right": build_figure_right,
+             "random": GeneratorSpec}
+
+# gen flag -> the builder option it sets (its argparse dest); gen passes on
+# only the flags given, so the builders' own defaults are the only ones
+_GEN_FLAGS = {"--seed": "seed", "--arms": "arm_count", "--base-models": "base_model_count",
+              "--hard-models": "hard_model_count", "--optimistic-scale": "optimistic_scale",
+              "--shrink-factor": "shrink_factor", "--no-informative-arm2": "informative_arm2",
+              "--arm1-fourth": "arm1_fourth_model"}
 
 
 def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | GeneratorSpec, str]:
@@ -150,7 +139,7 @@ def _structure_from_entry(entry, fresh: bool = False) -> tuple[Structure | Gener
     builder = entry.get("builder")
     if not isinstance(builder, str) or builder not in _BUILDERS:
         raise UsageError(f"unknown structure builder {builder!r}")
-    make = _BUILDERS[builder][0]
+    make = _BUILDERS[builder]
     options = {k: v for k, v in entry.items() if k != "builder"}
     try:
         _check_options(make, options, "structure")
@@ -222,9 +211,9 @@ def _run_config(data, workers: int, seed: int | None, source: str | None = None)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args.workers)
+    _check_workers(args.workers)
     _out_path(args.out, True)
-    batch = _run_config(_checked(read_json, args.config), workers, args.seed)
+    batch = _run_config(_checked(read_json, args.config), args.workers, args.seed)
     paths = write_batch(args.out, batch)
     for tag, aggregate in batch.aggregates.items():
         print(f"{tag}: final regret {aggregate.mean_regret[-1]:.2f} +/- "
@@ -259,6 +248,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
     needs_n = {"sae", "asae", "sucb", "ucb"}
     if args.n is None and (needs_n.intersection(requested) or args.sequences):
         raise UsageError("--n is required for sequences and horizon-dependent bounds")
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     document: dict = {"structure": args.structure, "bounds": [], "notes": []}
     try:
         if "sae" in requested or args.sequences:
@@ -316,8 +307,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _out_path(args.out, False)
-    structure, _ = _structure_from_entry(
-        {"builder": args.builder, **_BUILDERS[args.builder][1](args)})
+    options = {}
+    for flag, name in _GEN_FLAGS.items():
+        if getattr(args, name) is not None:
+            if name not in _signature(_BUILDERS[args.builder]).parameters:
+                raise UsageError(f"{flag} is not an option of builder {args.builder!r}")
+            options[name] = getattr(args, name)
+    structure, _ = _structure_from_entry({"builder": args.builder, **options})
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_structure(structure, args.out)
     print(f"wrote {args.out} ({structure.model_count} models, "
@@ -383,7 +379,7 @@ def _check(batch: BatchResult, kind: str, *args) -> tuple[str, bool]:
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args.workers)
+    _check_workers(args.workers)
     _out_path(args.out, True)
     checks: list[tuple[str, str, bool]] = []
     for figure, row in SUITE.items():
@@ -392,7 +388,7 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
             config["runs"] = row.get("desk_runs", config["runs"])
         print(f"running {figure} ({config['structure']['builder']}, n={config['horizon']}, "
               f"{config['runs']} runs) ...", flush=True)
-        batch = _run_config(config, workers, args.seed, row.get("source"))
+        batch = _run_config(config, args.workers, args.seed, row.get("source"))
         out = os.path.join(args.out, figure)
         write_batch(out, batch)
         checks += [(figure, *_check(batch, *check)) for check in row["checks"]]
@@ -429,7 +425,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a batch experiment from a JSON config")
     p_run.add_argument("--config", required=True, help="experiment config path")
     p_run.add_argument("--out", default="results", help="output directory")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.set_defaults(func=cmd_run)
 
@@ -457,22 +453,21 @@ def _parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a structure file")
     p_gen.add_argument("--builder", choices=tuple(_BUILDERS), default="random")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--arms", type=int, default=50)
-    p_gen.add_argument("--base-models", type=int, default=100)
-    p_gen.add_argument("--hard-models", type=int, default=50)
-    p_gen.add_argument("--optimistic-scale", type=float, default=0.2)
-    p_gen.add_argument("--shrink-factor", type=float, default=0.1)
-    p_gen.add_argument("--no-informative-arm2", action="store_true",
+    for flag in ("--seed", "--arms", "--base-models", "--hard-models"):
+        p_gen.add_argument(flag, type=int, dest=_GEN_FLAGS[flag], help="random builder")
+    for flag in ("--optimistic-scale", "--shrink-factor"):
+        p_gen.add_argument(flag, type=float, dest=_GEN_FLAGS[flag], help="random builder")
+    p_gen.add_argument("--no-informative-arm2", action="store_const", const=False,
+                       dest="informative_arm2",
                        help="figure_left variant with a flat middle arm")
-    p_gen.add_argument("--arm1-fourth", type=float, default=0.92,
+    p_gen.add_argument("--arm1-fourth", type=float, dest="arm1_fourth_model",
                        help="figure_right arm-1 mean in the fourth model")
     p_gen.set_defaults(func=cmd_gen)
 
     p_suite = sub.add_parser("paper-suite", help="regenerate the reference experiments")
     p_suite.add_argument("--out", default="paper_suite")
     p_suite.add_argument("--scale", choices=("desk", "full"), default="desk")
-    p_suite.add_argument("--workers", type=int, default=None)
+    p_suite.add_argument("--workers", type=int, default=1)
     p_suite.add_argument("--seed", type=int, default=None)
     p_suite.set_defaults(func=cmd_paper_suite)
     return parser

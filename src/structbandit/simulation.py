@@ -109,11 +109,11 @@ class BatchResult:
     runs: dict[str, tuple[RunResult, ...]]
 
 
-def default_checkpoints(horizon: int, count: int = 200) -> tuple[int, ...]:
-    """Geometric step schedule from 1 to the horizon, horizon included."""
+def default_checkpoints(horizon: int) -> tuple[int, ...]:
+    """Geometric schedule of at most 200 steps from 1 to the horizon, included."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    points = {int(round(horizon ** (i / count))) for i in range(1, count + 1)}
+    points = {int(round(horizon ** (i / 200))) for i in range(1, 201)}
     points.add(horizon)
     return tuple(sorted(p for p in points if 1 <= p <= horizon))
 

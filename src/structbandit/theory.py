@@ -295,48 +295,48 @@ def asae_constant_bound(structure: Structure) -> BoundReport:
                    {"gamma_star": g_star, "t_bar": t_bar}, flags)
 
 
-def sucb_bound(structure: Structure, n: int, c: float = 8.0, c_prime: float = 0.0) -> BoundReport:
+# The leading constant c of the optimistic bounds (additive constant 0): width
+# sqrt(2 log t / T) times the two-sided factor 4 (Auer, Cesa-Bianchi & Fischer
+# 2002 for the index policy; UCB-S, Lattimore & Munos 2014)
+_C = 8.0
+
+
+def sucb_bound(structure: Structure, n: int) -> BoundReport:
     """Optimistic-agent guarantee with the leading constant surfaced.
 
-    Each potentially-optimal arm pays ``c * gap * log(n)`` divided by its
-    separation measured on the arm itself over its optimistic models.  The
-    default ``c = 8`` comes from a confidence width of sqrt(2 log t / T)
-    with the worst-case factor 4 from two-sided concentration.  Arms with
-    no optimistic models contribute nothing: optimism never selects them.
+    Each potentially-optimal arm pays ``8 * gap * log(n)`` divided by its
+    separation measured on the arm itself over its optimistic models.  Arms
+    with no optimistic models contribute nothing: optimism never selects
+    them.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
     flags: dict = {}
     terms = _separation_terms(
-        structure, c, math.log(n), (), flags, optimistic_mask(structure),
+        structure, _C, math.log(n), (), flags, optimistic_mask(structure),
         zero_note="optimistic model indistinguishable on the arm itself")
 
-    return _report("optimistic_confidence_set", terms, c_prime,
-                   {"n": n, "c": c, "c_prime": c_prime}, flags)
+    return _report("optimistic_confidence_set", terms, 0.0,
+                   {"n": n, "c": _C, "c_prime": 0.0}, flags)
 
 
-def ucb_reference_bound(structure: Structure, n: int, c: float = 8.0,
-                        c_prime: float = 0.0) -> BoundReport:
-    """Structure-blind index-policy reference: ``c log n / gap`` per arm.
+def ucb_reference_bound(structure: Structure, n: int) -> BoundReport:
+    """Structure-blind index-policy reference: ``8 log n / gap`` per arm.
 
     Sums over every arm with a positive gap, not just the potentially
     optimal ones, since a blind policy explores them all.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
     gaps = true_gaps(structure)
     log_n = math.log(n)
     terms = []
     for i, gap in enumerate(gaps):
         if gap > 0.0:
             terms.append(BoundTerm(arm=i, gap=gap, separation=gap * gap,
-                                   value=c * log_n / gap))
-    return _report("index_policy_reference", terms, c_prime,
-                   {"n": n, "c": c, "c_prime": c_prime}, {})
+                                   value=_C * log_n / gap))
+    return _report("index_policy_reference", terms, 0.0,
+                   {"n": n, "c": _C, "c_prime": 0.0}, {})
 
 
 def omega(x: float) -> int:
@@ -372,15 +372,14 @@ def omega(x: float) -> int:
     return max(y, 1)
 
 
-def lower_bound_cr(structure: Structure, c: float = 8.0, n: int | None = None) -> BoundReport:
+def lower_bound_cr(structure: Structure, n: int | None = None) -> BoundReport:
     """Regret floor for structures in the constant-regret family.
 
-    ``c`` is the concentration constant of the optimistic agent the floor
-    is stated against (default 8, matching :func:`sucb_bound`).  The report
-    carries two validity flags: the horizon must exceed ``1 / gamma_star**2``
-    and ``gamma_star`` must be small against the aggregate squared gaps.
-    When the logarithmic factor is not positive the floor degenerates to 0
-    and is flagged vacuous.
+    It is stated against the optimistic agent's concentration constant 8,
+    as in :func:`sucb_bound`.  The report carries two validity flags: the
+    horizon must exceed ``1 / gamma_star**2`` and ``gamma_star`` must be
+    small against the aggregate squared gaps.  When the logarithmic factor
+    is not positive the floor degenerates to 0 and is flagged vacuous.
     """
     record = classify(structure)
     if not record.in_constant_regret:
@@ -397,12 +396,12 @@ def lower_bound_cr(structure: Structure, c: float = 8.0, n: int | None = None) -
     delta = delta_floor(structure)
 
     d = sum(1.0 / (gaps[i] * gaps[i]) for i in range(structure.arm_count) if i != i_star)
-    omega_value = omega(2.0 * c * d)
+    omega_value = omega(2.0 * _C * d)
     gamma_ok = g_star <= math.sqrt(1.0 / omega_value)
     horizon_ok = None if n is None else (n >= 1.0 / (g_star * g_star))
 
     log_arg = (delta * delta) / (
-        4.0 * math.e ** 2 * c * g_star * g_star * math.log(1.0 / (g_star * g_star))
+        4.0 * math.e ** 2 * _C * g_star * g_star * math.log(1.0 / (g_star * g_star))
     )
     vacuous = log_arg <= 1.0
     log_factor = 0.0 if vacuous else math.log(log_arg)
@@ -424,7 +423,7 @@ def lower_bound_cr(structure: Structure, c: float = 8.0, n: int | None = None) -
         flags["horizon_large_enough"] = horizon_ok
 
     return _report("constant_regret_floor", terms, 0.0,
-                   {"c": c, "n": n, "gamma_star": g_star, "delta_floor": delta,
+                   {"c": _C, "n": n, "gamma_star": g_star, "delta_floor": delta,
                     "aggregate_inverse_gaps": d, "omega": omega_value, "log_argument": log_arg},
                    flags)
 

@@ -430,28 +430,31 @@ def test_ucb1_bonus_magnitude():
         assert agent._choose() == expected
 
 
+class FixedArm:
+    """A duck-typed four-arm agent that always plays one arm."""
+
+    arm_count = 4
+    config = sb.AgentConfig("ucb1")
+
+    def __init__(self, arm):
+        self.arm = arm
+        self.pulls = [0] * 4
+
+    def select(self):
+        return self.arm
+
+    def observe(self, arm, reward):
+        self.pulls[arm] += 1
+
+    def snapshot(self):
+        return sb.AgentState(
+            pull_counts=tuple(self.pulls), reward_sums=(0.0,) * 4,
+            active_models=(), active_arms=(self.arm,), phase=0,
+            removal_threshold=1.0, period=0, period_horizon=None,
+            phase_start_counts=(0,) * 4)
+
+
 def test_simulate_zero_and_fixed_regret(fig_right):
-    class FixedArm:
-        arm_count = 4
-        config = sb.AgentConfig("ucb1")
-
-        def __init__(self, arm):
-            self.arm = arm
-            self.pulls = [0] * 4
-
-        def select(self):
-            return self.arm
-
-        def observe(self, arm, reward):
-            self.pulls[arm] += 1
-
-        def snapshot(self):
-            return sb.AgentState(
-                pull_counts=tuple(self.pulls), reward_sums=(0.0,) * 4,
-                active_models=(), active_arms=(self.arm,), phase=0,
-                removal_threshold=1.0, period=0, period_horizon=None,
-                phase_start_counts=(0,) * 4)
-
     env = sb.Environment(fig_right, seed=0)
     result = sb.simulate(FixedArm(0), env, 100, checkpoints=(50, 100))
     assert result.regret == (0.0, 0.0)
@@ -610,34 +613,44 @@ def test_forced_blocks_match_scalar_steps(name, config, reward):
         assert max(settled_gaps) > 0.0
 
 
-def test_forced_block_reward_checks():
-    # arm 0 is optimal for every model, so SAE is forced from the first step
-    structure = mk([[0.8, 0.2], [0.6, 0.3]], 0)
-    gaussian = sb.RewardSpec("gaussian", 0.25)
-    agent = sb.SaeAgent(structure, sb.AgentConfig("sae", horizon=500))
-    env = sb.Environment(structure, seed=0, reward=gaussian)
-    with pytest.raises(ValueError, match="bernoulli reward must be 0 or 1"):
-        sb.simulate(agent, env, 500)
-    structure = mk([[0.8, 0.2], [0.6, 0.3]], 0, reward=gaussian)
-    agent = sb.SaeAgent(structure, sb.AgentConfig("sae", horizon=500))
-    with pytest.raises(ValueError, match="reward must be finite, got inf"):
-        agent._observe_block(np.array([0, 0]), np.array([0.5, math.inf]))
-    # SUCB plays arm 0 from the first step; 1.0 + 1e-16 * draw is 1.0 for
-    # most draws, so on seeds 0 and 3 the first other reward falls inside
-    # a stretch, and the next select/observe must raise observe's error
-    structure = mk([[1.0, 0.5], [0.9, 0.6]], 0)
-    tiny = sb.RewardSpec("gaussian", 1e-32)
-    for seed, step in ((0, 4), (3, 3)):
-        oracle = sb.SucbAgent(structure, sb.AgentConfig("sucb"))
-        env = sb.Environment(structure, seed=seed, reward=tiny)
-        with pytest.raises(ValueError, match="bernoulli reward must be 0 or 1") as scalar:
-            run_steps(oracle, env, 100)
-        assert sum(oracle.snapshot().pull_counts) == step - 1
-        agent = sb.SucbAgent(structure, sb.AgentConfig("sucb"))
-        with pytest.raises(ValueError) as stretched:
-            sb.simulate(agent, sb.Environment(structure, seed=seed, reward=tiny), 100)
-        assert str(stretched.value) == str(scalar.value)
-        assert agent.snapshot() == oracle.snapshot()
+def test_simulate_refuses_reward_kind_mismatch(fig_right):
+    # blocks and stretches fold the environment's rewards unchecked, so an
+    # agent built for the other reward kind is refused before the first step
+    gaussian = replace(fig_right, reward=sb.RewardSpec("gaussian", 0.25))
+    for algorithm in ("sae", "asae", "sucb"):
+        for agent_side, env_side in ((fig_right, gaussian), (gaussian, fig_right)):
+            agent = sb.make_agent(agent_side, sb.AgentConfig(algorithm, horizon=100))
+            before = agent.snapshot()
+            message = (f"agent expects {agent_side.reward.kind} rewards, "
+                       f"environment draws {env_side.reward.kind}")
+            with pytest.raises(ValueError, match=message):
+                sb.simulate(agent, sb.Environment(env_side, seed=0), 100)
+            assert agent.snapshot() == before, algorithm
+    # UCB1 and duck-typed agents carry no reward kind and run on either
+    for structure in (fig_right, gaussian):
+        for agent in (sb.Ucb1Agent(4, sb.AgentConfig("ucb1")), FixedArm(1)):
+            result = sb.simulate(agent, sb.Environment(structure, seed=0), 100)
+            assert sum(result.pull_counts) == 100
+
+
+def test_largest_gaussian_variance_keeps_results_finite(fig_right):
+    # RewardSpec refuses a non-finite variance, so sigma <= sqrt(max float)
+    # and mu + sigma * draw is finite: the engine needs no reward check
+    widest = replace(fig_right, reward=sb.RewardSpec("gaussian", sys.float_info.max))
+    configs = [sb.AgentConfig("sae", horizon=20_000), sb.AgentConfig("asae"),
+               sb.AgentConfig("sucb"), sb.AgentConfig("ucb1")]
+    with np.errstate(all="raise"):
+        for config in configs:
+            agent = sb.make_agent(widest, config)
+            result = sb.simulate(agent, sb.Environment(widest, seed=3), 20_000)
+            assert all(map(math.isfinite, result.regret)), config
+            assert all(map(math.isfinite, agent.snapshot().reward_sums)), config
+        batch = sb.run_batch(sb.ExperimentConfig(
+            structure=widest, agents=(configs[3],), horizon=20_000, runs=2,
+            checkpoints=(10_000, 20_000)))
+    aggregate = batch.aggregates["ucb1"]
+    assert all(map(math.isfinite, aggregate.mean_regret + aggregate.regret_half_width))
+    assert sum(aggregate.mean_pulls) == 20_000
 
 
 def test_environment_reward_streams(fig_right):
@@ -656,6 +669,3 @@ def test_environment_reward_streams(fig_right):
     assert abs(np.std(sample) - 0.5) < 0.05
     with pytest.raises(ValueError):
         sb.RewardSpec("gaussian", 0.0)
-    # an explicit reward spec overrides the structure's
-    override = sb.Environment(fig_right, seed=0, reward=gspec)
-    assert any(v not in (0.0, 1.0) for v in (override.pull(0),))

@@ -12,11 +12,6 @@ from structbandit import cli, simulation
 from structbandit.cli import main
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("STRUCTBANDIT_WORKERS", raising=False)
-
-
 @pytest.fixture()
 def run_config(tmp_path):
     config = {
@@ -199,15 +194,14 @@ def test_run_worker_byte_identity(run_config, tmp_path):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
 
 
-def test_workers_env_var(run_config, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("STRUCTBANDIT_WORKERS", "2")
-    assert main(["run", "--config", str(run_config), "--out", str(out)]) == 0
-    monkeypatch.setenv("STRUCTBANDIT_WORKERS", "abc")
-    assert main(["run", "--config", str(run_config), "--out", str(out)]) == 2
-    assert "STRUCTBANDIT_WORKERS" in capsys.readouterr().err
-    monkeypatch.setenv("STRUCTBANDIT_WORKERS", "0")
-    assert main(["run", "--config", str(run_config), "--out", str(out)]) == 2
+def test_workers_below_one(run_config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for workers in ("0", "-1"):
+        for argv in (["run", "--config", str(run_config)], ["paper-suite"]):
+            assert main([*argv, "--out", out, "--workers", workers]) == 2, argv
+            captured = capsys.readouterr()
+            assert f"--workers must be >= 1, got {workers}" in captured.err, argv
+            assert not captured.out and not os.path.exists(out), argv
 
 
 def test_run_seed_override(run_config, tmp_path):
@@ -441,6 +435,28 @@ def test_gen_validation(tmp_path, capsys):
     assert "arm_count" in capsys.readouterr().err
 
 
+def test_gen_refuses_flags_of_other_builders(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for builder, flags in (("figure_right", ["--arms", "7"]),
+                           ("figure_right", ["--no-informative-arm2"]),
+                           ("random", ["--arm1-fourth", "0.3"]),
+                           ("random", ["--no-informative-arm2"]),
+                           ("figure_left", ["--seed", "5"]),
+                           ("figure_left", ["--shrink-factor", "0.2"])):
+        assert main(["gen", "--builder", builder, "--out", str(out), *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert f"{flags[0]} is not an option of builder '{builder}'" in captured.err
+        assert not captured.out and not out.exists(), flags
+    # a flag given at its builder's default writes the default's file
+    for builder, flags in (("figure_right", ["--arm1-fourth", "0.92"]),
+                           ("random", ["--seed", "0", "--arms", "50"])):
+        assert main(["gen", "--builder", builder, "--out", str(tmp_path / "a.json"),
+                     *flags]) == 0
+        assert main(["gen", "--builder", builder, "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    capsys.readouterr()
+
+
 def test_builders_refuse_more_than_max_means(tmp_path, capsys):
     # each sizing option one step above the bound; the check comes before any
     # array is built, so nothing here allocates
@@ -579,6 +595,16 @@ def test_theory_usage_errors(right_structure_file, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert name in captured.err and not captured.out, argv
+
+
+def test_theory_refuses_n_below_one(right_structure_file, capsys):
+    # lower_bound_cr's refusals become notes, so --n is checked up front
+    for n in ("0", "-5"):
+        for bound in ("lower", "const", "ucb"):
+            argv = ["theory", "--structure", right_structure_file, "--bound", bound, "--n", n]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert f"--n must be >= 1, got {n}" in captured.err and not captured.out, argv
 
 
 def test_structure_mean_too_large_for_a_float(tmp_path, capsys):

@@ -1,0 +1,43 @@
+"""The names that perfbench's tracer wraps exist in structbandit.
+
+`perfbench/spans.py` reads each traced function from the first place its
+tables list, the agent classes' select/observe, `Environment.pull` and the
+process pool class.  A deletion or rename in structbandit fails here rather
+than in a traced benchmark run.  The tables are read; nothing is installed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _module(name):
+    return importlib.import_module(f"structbandit.{name}")
+
+
+def test_traced_functions_resolve(spans):
+    for table in (spans._SPANNED, spans._COUNTED):
+        for name, places in table.items():
+            module, attr = places[0]
+            assert callable(getattr(_module(module), attr, None)), (name, module, attr)
+
+
+def test_traced_classes_resolve(spans):
+    algorithms = _module("algorithms")
+    assert callable(algorithms.Environment.pull)
+    for tag, cls_name in spans._AGENTS.items():
+        cls = getattr(algorithms, cls_name)
+        assert callable(cls.select) and callable(cls.observe), tag
+    assert isinstance(_module("simulation").ProcessPoolExecutor, type)

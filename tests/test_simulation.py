@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import json
-import math
 import os
 import subprocess
 import sys
@@ -279,21 +278,18 @@ def test_ucb1_lockstep_fresh_structures_and_workers(fig_right):
     assert parallel.aggregates == serial.aggregates
 
 
-def test_ucb1_lockstep_failure_names_run(fig_right):
-    # RewardSpec rejects an infinite variance, so set one past its check
-    reward = sb.RewardSpec("gaussian", 1.0)
-    object.__setattr__(reward, "variance", math.inf)
-    broken = replace(fig_right, reward=reward)
-    seeds = (11, 12)
-    with pytest.raises(ValueError, match="reward must be finite, got (inf|nan)"):
-        scalar_ucb1((broken,), sb.AgentConfig("ucb1"), 10, None, seeds[:1])
-    with pytest.raises(ValueError, match="reward must be finite, got (inf|nan)"):
-        simulate_ucb1((broken, broken), sb.AgentConfig("ucb1"), 10, None, seeds)
-    config = sb.ExperimentConfig(structure=broken, agents=(sb.AgentConfig("ucb1"),),
+def test_ucb1_lockstep_failure_names_run(fig_right, monkeypatch):
+    # the pool forks, so its workers see the patched kernel too
+    def failing(structures, config, horizon, checkpoints, seeds):
+        raise ValueError("kernel failed")
+
+    monkeypatch.setattr(sb.simulation, "simulate_ucb1", failing)
+    config = sb.ExperimentConfig(structure=fig_right, agents=(sb.AgentConfig("ucb1"),),
                                  horizon=10, runs=2, checkpoints=(10,))
+    seed = sb.stream_seed(0, "ucb1", 0)
     for workers in (1, 2):
-        with pytest.raises(RuntimeError,
-                           match=r"algorithm='ucb1' seed=\d+.*reward must be finite"):
+        with pytest.raises(RuntimeError, match=rf"algorithm='ucb1' seed={seed} "
+                                               r"\(first of 2 lockstep runs\): kernel failed"):
             sb.run_batch(config, workers=workers)
 
 
