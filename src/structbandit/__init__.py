@@ -8,7 +8,6 @@ from .algorithms import (
     AgentState,
     AsaeAgent,
     Environment,
-    PhaseRecord,
     RunResult,
     SaeAgent,
     SucbAgent,
@@ -73,7 +72,7 @@ from .theory import (
 __all__ = [
     "ALGORITHMS", "AgentConfig", "AgentState", "AggregateResult", "AsaeAgent",
     "BatchResult", "BoundReport", "BoundTerm", "Environment",
-    "ExperimentConfig", "GeneratorSpec", "PhaseRecord", "RewardSpec",
+    "ExperimentConfig", "GeneratorSpec", "RewardSpec",
     "RunResult", "SaeAgent", "Structure", "StructureClass", "SucbAgent",
     "TOLERANCE", "TheorySequences", "Ucb1Agent", "asae_bound",
     "asae_constant_bound", "build_figure_left", "build_figure_right",

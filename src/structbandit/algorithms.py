@@ -49,7 +49,10 @@ import numpy as np
 
 from .gaps import RewardSpec, Structure, optimal_arm_set, true_gaps
 
-ALGORITHMS = ("sae", "asae", "sucb", "ucb1")
+# each algorithm and the AgentConfig fields it reads
+READ_FIELDS = {"sae": ("alpha", "beta", "horizon"), "asae": ("alpha", "beta", "eta"),
+               "sucb": ("alpha", "sigma2"), "ucb1": ("alpha",)}
+ALGORITHMS = tuple(READ_FIELDS)
 
 _DRAW_CHUNK = 8192
 _FLOAT_MAX = sys.float_info.max
@@ -65,6 +68,7 @@ class AgentConfig:
     the period growth exponent (ASAE only).  horizon is required by SAE;
     SUCB and UCB1 are anytime and ignore it.  sigma2, when given, switches
     the SUCB radius to its sub-Gaussian form 2*alpha*sigma2*log(t)/T.
+    READ_FIELDS names the fields each algorithm reads.
     """
 
     algorithm: str
@@ -94,12 +98,14 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class AgentState:
-    """Read-only diagnostic snapshot of an agent.
+    """Read-only diagnostic snapshot of an agent; the eliminators' history
+    holds one per opened phase.
 
-    period, period_horizon and phase_start_counts carry information for the
-    eliminators: SAE reports period 0 with its horizon n and zero counts,
-    ASAE its current period.  SUCB and UCB1 report period 0 / horizon None /
-    zero counts.
+    phase, removal_threshold, period, period_horizon and phase_start_counts
+    carry information for the eliminators: SAE reports period 0 with its
+    horizon n and zero counts, ASAE its current period.  SUCB and UCB1
+    report phase 0, threshold 1, period 0 / horizon None / zero counts and
+    every arm active.
     """
 
     pull_counts: tuple[int, ...]
@@ -113,18 +119,6 @@ class AgentState:
     phase_start_counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """State captured at the moment a phase opens (after the boundary update)."""
-
-    period: int
-    phase: int
-    active_arms: tuple[int, ...]
-    active_models: tuple[int, ...]
-    pull_counts: tuple[int, ...]
-    reward_sums: tuple[float, ...]
-
-
 class _Agent:
     """Alternation bookkeeping shared by every agent."""
 
@@ -136,6 +130,12 @@ class _Agent:
         self._rewards = [0.0] * arm_count
         self._step = 0
         self._pending: int | None = None
+        # the phase state of an agent without phases: every arm active in
+        # phase 0 of one open-ended period
+        self._active_arms = list(range(arm_count))
+        self._phase, self._threshold = 0, 1.0
+        self._period, self._period_horizon = 0, None
+        self._period_start = [0] * arm_count
 
     def _play(self, env: Environment, limit: int) -> tuple[int | np.ndarray, int]:
         """(arms, steps): take 1 to `limit` steps, all from env's current
@@ -178,17 +178,17 @@ class _Agent:
         pass
 
     def snapshot(self) -> AgentState:
-        """State of an agent without phases or periods: every arm active."""
+        """The agent's state now; an eliminator's history holds one per phase."""
         return AgentState(
             pull_counts=tuple(self._pulls),
             reward_sums=tuple(self._rewards),
             active_models=self._active_model_ids(),
-            active_arms=tuple(range(self.arm_count)),
-            phase=0,
-            removal_threshold=1.0,
-            period=0,
-            period_horizon=None,
-            phase_start_counts=(0,) * self.arm_count,
+            active_arms=tuple(self._active_arms),
+            phase=self._phase,
+            removal_threshold=self._threshold,
+            period=self._period,
+            period_horizon=self._period_horizon,
+            phase_start_counts=tuple(self._period_start),
         )
 
     def _active_model_ids(self) -> tuple[int, ...]:
@@ -279,15 +279,14 @@ class _EliminationAgent(_Agent):
         self.structure = structure
         self._margin = (1.0 + 1.0 / config.beta) ** 2
         self._all_models = tuple(range(structure.model_count))
-        self._history: list[PhaseRecord] = []
+        self._history: list[AgentState] = []
         # _model_set's memo: ASAE's carried set recurs at each period start
         self._model_sets: dict[tuple[int, ...], tuple] = {}
-        self._period = 0
         self._start_period(horizon, self._all_models)
 
     @property
-    def history(self) -> tuple[PhaseRecord, ...]:
-        """One record per opened phase, in order."""
+    def history(self) -> tuple[AgentState, ...]:
+        """One snapshot per opened phase, taken as it opens, in order."""
         return tuple(self._history)
 
     @property
@@ -302,26 +301,19 @@ class _EliminationAgent(_Agent):
         self._active_models = list(models)
         self._active_arms = sorted(arms)
         self._period_start = list(self._pulls)
-        self._phase = 0
-        self._threshold = 1.0
-        self._target = self._phase_target()
-        self._rr_pos = 0
         self._fallback: int | None = None
-        self._open_phase()
+        self._open_phase(0)
 
-    def _open_phase(self) -> None:
-        self._history.append(PhaseRecord(
-            period=self._period,
-            phase=self._phase,
-            active_arms=tuple(self._active_arms),
-            active_models=tuple(self._active_models),
-            pull_counts=tuple(self._pulls),
-            reward_sums=tuple(self._rewards),
-        ))
-
-    def _phase_target(self) -> int:
-        return math.ceil(self.config.alpha * self._log_nk * self._margin
-                         / (self._threshold * self._threshold))
+    def _open_phase(self, phase: int) -> None:
+        """Open `phase` on the active sets already in place: threshold
+        2^-phase, its pull target, the round robin from the first active
+        arm, and a snapshot appended to history."""
+        self._phase = phase
+        self._threshold = 2.0 ** -phase
+        self._target = math.ceil(self.config.alpha * self._log_nk * self._margin
+                                 / (self._threshold * self._threshold))
+        self._rr_pos = 0
+        self._history.append(self.snapshot())
 
     def _choose(self) -> int:
         if self._fallback is not None:
@@ -425,16 +417,11 @@ class _EliminationAgent(_Agent):
     def _advance_phase(self) -> None:
         kept = self._filter_models()
         keep = self._model_set(kept)[2] if kept else ()
-        arms = [a for a in self._active_arms if a in keep]
         self._active_models = kept
-        self._active_arms = arms
-        self._phase += 1
-        self._threshold *= 0.5
-        self._target = self._phase_target()
-        self._rr_pos = 0
-        if not arms:
+        self._active_arms = [a for a in self._active_arms if a in keep]
+        if not self._active_arms:
             self._fallback = _empirical_best(self._pulls, self._rewards)
-        self._open_phase()
+        self._open_phase(self._phase + 1)
 
     def _advance_period(self) -> None:
         self._period += 1
@@ -466,18 +453,8 @@ class _EliminationAgent(_Agent):
             self._model_sets[key] = found
         return found
 
-    def snapshot(self) -> AgentState:
-        return AgentState(
-            pull_counts=tuple(self._pulls),
-            reward_sums=tuple(self._rewards),
-            active_models=tuple(self._active_models),
-            active_arms=tuple(self._active_arms),
-            phase=self._phase,
-            removal_threshold=self._threshold,
-            period=self._period,
-            period_horizon=self._period_horizon,
-            phase_start_counts=tuple(self._period_start),
-        )
+    def _active_model_ids(self) -> tuple[int, ...]:
+        return tuple(self._active_models)
 
 
 class SaeAgent(_EliminationAgent):

@@ -19,7 +19,7 @@ import os
 import shutil
 import sys
 
-from .algorithms import ALGORITHMS, AgentConfig
+from .algorithms import ALGORITHMS, READ_FIELDS, AgentConfig
 from .gaps import Structure, classify
 from .simulation import (
     BatchResult,
@@ -162,9 +162,18 @@ def _agent_configs(entries: list) -> tuple[AgentConfig, ...]:
                 raise UsageError(f"config field 'agents[{index}].algorithm' must be one of "
                                  f"{ALGORITHMS}, got {entry['algorithm']!r}")
         try:
-            configs.append(AgentConfig(**entry))
+            config = AgentConfig(**entry)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad agent entry agents[{index}] {entry!r}: {exc}")
+        # null means unset; a field the algorithm never reads would be
+        # written to the manifest as if it had been used
+        reads = READ_FIELDS[config.algorithm]
+        unread = [f"'agents[{index}].{name}'" for name, value in entry.items()
+                  if name not in ("algorithm", *reads) and value is not None]
+        if unread:
+            raise UsageError(f"{config.algorithm} reads only {'/'.join(reads)}, not config "
+                             f"field {' or '.join(unread)}")
+        configs.append(config)
     return tuple(configs)
 
 
@@ -256,7 +265,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
             sequences = deterministic_sequences(structure, args.alpha, args.beta, args.n)
         for name in requested:
             if name == "sae":
-                document["bounds"].append(sae_bound(structure, sequences, args.n).to_dict())
+                document["bounds"].append(sae_bound(structure, sequences).to_dict())
             elif name == "asae":
                 document["bounds"].append(asae_bound(structure, args.n).to_dict())
             elif name == "const":
@@ -307,12 +316,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _out_path(args.out, False)
+    parameters = _signature(_BUILDERS[args.builder]).parameters
     options = {}
     for flag, name in _GEN_FLAGS.items():
-        if getattr(args, name) is not None:
-            if name not in _signature(_BUILDERS[args.builder]).parameters:
+        value = getattr(args, name)
+        if value is not None:
+            if name not in parameters:
                 raise UsageError(f"{flag} is not an option of builder {args.builder!r}")
-            options[name] = getattr(args, name)
+            options[name] = _checked(json_value, value, parameters[name].annotation, flag)
     structure, _ = _structure_from_entry({"builder": args.builder, **options})
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_structure(structure, args.out)

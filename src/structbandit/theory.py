@@ -225,18 +225,17 @@ def _separation_terms(structure: Structure, coeff: float, log_factor: float,
     return terms
 
 
-def sae_bound(structure: Structure, sequences: TheorySequences, n: int) -> BoundReport:
-    """Phased-elimination regret guarantee at horizon ``n``.
+def sae_bound(structure: Structure, sequences: TheorySequences) -> BoundReport:
+    """Phased-elimination regret guarantee at the sequences' horizon ``n``.
 
     Needs the elimination schedule because each arm's term is measured on
     the arms still informative when it gets discarded.  Stated for
     ``alpha = beta**2`` and ``n >= 64``; an alpha mismatch is flagged, a
     too-small horizon is an error.
     """
+    n = sequences.n
     if n < 64:
         raise ValueError(f"the guarantee requires n >= 64, got {n}")
-    if n != sequences.n:
-        raise ValueError(f"sequences were computed for n = {sequences.n}, not {n}")
     beta = sequences.beta
     c_beta = 4.0 * (1.0 + beta * beta)
 
@@ -379,7 +378,8 @@ def lower_bound_cr(structure: Structure, n: int | None = None) -> BoundReport:
     as in :func:`sucb_bound`.  The report carries two validity flags: the
     horizon must exceed ``1 / gamma_star**2`` and ``gamma_star`` must be
     small against the aggregate squared gaps.  When the logarithmic factor
-    is not positive the floor degenerates to 0 and is flagged vacuous.
+    is not positive the floor degenerates to 0 and is flagged vacuous;
+    otherwise a sub-optimal arm of zero separation is refused.
     """
     record = classify(structure)
     if not record.in_constant_regret:
@@ -412,6 +412,9 @@ def lower_bound_cr(structure: Structure, n: int | None = None) -> BoundReport:
         if i == i_star:
             continue
         separation = closest[i] ** 2
+        if not vacuous and separation == 0.0:
+            raise ValueError(f"the models favouring arm {i} have squared separation 0 on "
+                             "it; the floor divides by it")
         value = 0.0 if vacuous else gaps[i] / (2.0 * separation) * log_factor
         terms.append(BoundTerm(arm=i, gap=gaps[i], separation=separation, value=value))
 

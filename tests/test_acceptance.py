@@ -318,7 +318,7 @@ def test_criterion_09_upper_bounds_hold():
                                      base_seed=BASE_SEED)
         batch = sb.run_batch(config)
         sequences = sb.deterministic_sequences(structure, 4.0, 2.0, horizon)
-        sae_cap = sb.sae_bound(structure, sequences, horizon).value
+        sae_cap = sb.sae_bound(structure, sequences).value
         asae_cap = sb.asae_bound(structure, horizon).value
         sae_mean = batch.aggregates["sae"].mean_regret[-1]
         asae_mean = batch.aggregates["asae"].mean_regret[-1]

@@ -613,6 +613,36 @@ def test_forced_blocks_match_scalar_steps(name, config, reward):
         assert max(settled_gaps) > 0.0
 
 
+@pytest.mark.parametrize("config", [SAE, ASAE_001, ASAE_1], ids=["sae", "asae_001", "asae_1"])
+def test_history_records_are_snapshots_as_phases_open(fig_right, config):
+    # each record is the agent's whole state as its phase opened: the scalar
+    # oracle's snapshot right after the step that opened it (the first
+    # record, before any step); of phases opened back to back in one step,
+    # the last record is that step's snapshot
+    after = []
+
+    def watch(oracle):
+        after.append((len(oracle.history), oracle.snapshot()))
+
+    scalar_run(fig_right, config, 0, 30_000, watch)
+    agent = sb.make_agent(fig_right, config)
+    opening = agent.snapshot()
+    sb.simulate(agent, sb.Environment(fig_right, seed=0), 30_000)
+    history = agent.history
+    assert history[0] == opening and opening.phase == 0
+    seen, compared, back_to_back = 1, 1, 0
+    for count, state in after:
+        if count > seen:
+            assert history[count - 1] == state, count
+            compared += 1
+            back_to_back += count - seen > 1
+            seen = count
+    assert seen == len(history) and compared >= 4
+    if config is ASAE_001:  # its short periods start with phases already paid for
+        assert back_to_back
+    assert all(record.removal_threshold == 2.0 ** -record.phase for record in history)
+
+
 def test_simulate_refuses_reward_kind_mismatch(fig_right):
     # blocks and stretches fold the environment's rewards unchecked, so an
     # agent built for the other reward kind is refused before the first step

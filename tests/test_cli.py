@@ -404,6 +404,42 @@ def test_run_null_means_unset(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_refuses_fields_the_algorithm_does_not_read(tmp_path, capsys):
+    # a field the algorithm never reads would go to the manifest as if used
+    path = tmp_path / "c.json"
+    base = {"horizon": 1000, "runs": 2, "structure": {"builder": "figure_right"}}
+    valid = {"alpha": 1.5, "beta": 2.0, "eta": 0.5, "horizon": 100, "sigma2": 0.25}
+    assert set(valid) == set(inspect.signature(sb.AgentConfig).parameters) - {"algorithm"}
+    cases = 0
+    for algorithm, reads in sb.algorithms.READ_FIELDS.items():
+        for name in sorted(set(valid) - set(reads)):
+            path.write_text(json.dumps({**base, "agents": [
+                {"algorithm": "sucb"}, {"algorithm": algorithm, name: valid[name]}]}))
+            case = (algorithm, name)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, case
+            assert f"not config field 'agents[1].{name}'" in capsys.readouterr().err, case
+            cases += 1
+    assert cases == 11
+    path.write_text(json.dumps({**base, "agents": [
+        {"algorithm": "sucb", "horizon": 50, "eta": 7.0}]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert ("sucb reads only alpha/sigma2, not config field 'agents[0].horizon' or "
+            "'agents[0].eta'") in capsys.readouterr().err
+    # the type and range checks come first
+    for entry, message in (({"algorithm": "sucb", "eta": "7"}, "'agents[0].eta' must be"),
+                           ({"algorithm": "ucb1", "beta": 0.5}, "beta must be finite and >= 1")):
+        path.write_text(json.dumps({**base, "agents": [entry]}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, entry
+        assert message in capsys.readouterr().err, entry
+    assert not (tmp_path / "o").exists()
+    # every field each algorithm reads, and null for one it does not, runs
+    path.write_text(json.dumps({**base, "horizon": 50, "agents": [
+        {"algorithm": algorithm, "sigma2": None, **{name: valid[name] for name in reads}}
+        for algorithm, reads in sb.algorithms.READ_FIELDS.items()]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+
+
 def test_gen_and_classify(tmp_path, capsys):
     structure_path = str(tmp_path / "gen.json")
     assert main(["gen", "--builder", "random", "--out", structure_path,
@@ -455,6 +491,20 @@ def test_gen_refuses_flags_of_other_builders(tmp_path, capsys):
         assert main(["gen", "--builder", builder, "--out", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     capsys.readouterr()
+
+
+def test_gen_refusals_name_the_flag(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for builder, flag, value, message in (
+            ("random", "--optimistic-scale", "nan", "must be a finite number, got nan"),
+            ("random", "--shrink-factor", "inf", "must be a finite number, got inf"),
+            ("random", "--seed", "1" + "0" * 400, "is an integer too large for a float"),
+            ("figure_right", "--arm1-fourth", "inf", "must be a finite number, got inf")):
+        argv = ["gen", "--builder", builder, "--out", str(out), f"{flag}={value}"]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert f"error: {flag} {message}" in captured.err, argv
+        assert "config field" not in captured.err and not out.exists(), argv
 
 
 def test_builders_refuse_more_than_max_means(tmp_path, capsys):
@@ -526,6 +576,19 @@ def test_theory_bounds_and_notes(right_structure_file, capsys):
     assert arm2[0]["separation"] == pytest.approx(0.0576, abs=1e-12)
     assert any("Assumption 1 violated" in note for note in doc["notes"])
     assert any(note.startswith("lower:") for note in doc["notes"])
+
+
+def test_theory_lower_refuses_zero_separation(tmp_path, capsys):
+    # in the constant-regret family, with a rival that matches the true mean
+    # on the arm it favours: the floor is a note, not a crash
+    path = tmp_path / "cr.json"
+    sb.save_structure(sb.Structure([[1.0, 0.8], [0.001, 0.8]], 0), path)
+    assert main(["theory", "--structure", str(path), "--bound", "lower",
+                 "--n", "1000000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bounds"] == []
+    assert doc["notes"] == ["lower: the models favouring arm 1 have squared separation 0 "
+                            "on it; the floor divides by it"]
 
 
 def test_theory_sequences_document(right_structure_file, tmp_path, capsys):

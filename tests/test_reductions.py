@@ -66,7 +66,7 @@ def test_classify_and_bound_separations_match_oracles(structure, beta):
         "asae": lambda i: oracles.oracle_psi(structure, favouring[i], sorted({i, i_star})),
         "sucb": lambda i: oracles.oracle_psi(structure, optimistic[i], (i,)),
     }
-    reports = {"sae": sb.sae_bound(structure, seqs, n), "asae": sb.asae_bound(structure, n),
+    reports = {"sae": sb.sae_bound(structure, seqs), "asae": sb.asae_bound(structure, n),
                "sucb": sb.sucb_bound(structure, n)}
     for name, report in reports.items():
         for term in report.terms:

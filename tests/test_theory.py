@@ -161,7 +161,7 @@ def test_sae_bound_scalar_example():
         unresolved=frozenset(),
         alpha_beta_mismatch=False,
     )
-    report = sb.sae_bound(structure, seqs, 10_000)
+    report = sb.sae_bound(structure, seqs)
     expected = 8.0 * 0.2 * math.log(10_000) / 0.16 + 4.0
     assert report.value == pytest.approx(expected, rel=1e-12)
     assert report.value == pytest.approx(96.10, abs=0.01)
@@ -169,7 +169,7 @@ def test_sae_bound_scalar_example():
 
 
 def test_sae_bound_benchmark(fig_right, right_sequences):
-    report = sb.sae_bound(fig_right, right_sequences, N_RIGHT)
+    report = sb.sae_bound(fig_right, right_sequences)
     log_n = math.log(N_RIGHT)
     c_beta = 4.0 * (1.0 + 4.0)
     expected = (
@@ -191,16 +191,15 @@ def test_sae_bound_benchmark(fig_right, right_sequences):
 def test_sae_bound_no_suboptimal_arms():
     structure = mk([[0.8, 0.2], [0.6, 0.3]], 0)
     seqs = sb.deterministic_sequences(structure, alpha=4.0, beta=2.0, n=1000)
-    report = sb.sae_bound(structure, seqs, 1000)
+    report = sb.sae_bound(structure, seqs)
     assert report.value == 2.0
     assert report.terms == ()
 
 
-def test_sae_bound_errors(fig_right, right_sequences):
-    with pytest.raises(ValueError):
-        sb.sae_bound(fig_right, right_sequences, 63)
-    with pytest.raises(ValueError):
-        sb.sae_bound(fig_right, right_sequences, 1000)  # n mismatch
+def test_sae_bound_errors(fig_right):
+    short = sb.deterministic_sequences(fig_right, alpha=4.0, beta=2.0, n=63)
+    with pytest.raises(ValueError, match="n >= 64, got 63"):
+        sb.sae_bound(fig_right, short)
 
 
 def test_asae_bound_benchmark(fig_right):
@@ -322,6 +321,21 @@ def test_lower_bound_cr_vacuous_and_errors(fig_right):
     assert report.value == 0.0
     with pytest.raises(ValueError):
         sb.lower_bound_cr(fig_right)
+
+
+def test_lower_bound_cr_refuses_zero_separation():
+    # the rival favouring arm 1 has arm 1's true mean, so its separation
+    # there is 0, and the floor is not vacuous (log argument about 1.35)
+    structure = sb.Structure([[1.0, 0.8], [0.001, 0.8]], 0)
+    assert sb.classify(structure).in_constant_regret
+    assert sb.gamma_star(structure) == pytest.approx(0.999)
+    with pytest.raises(ValueError, match="arm 1 have squared separation 0"):
+        sb.lower_bound_cr(structure, n=10**6)
+    # where the floor is vacuous a zero separation leaves it at 0
+    vacuous = sb.Structure([[0.5, 0.3], [0.2, 0.3]], 0)
+    report = sb.lower_bound_cr(vacuous)
+    assert report.flags["vacuous"] and report.value == 0.0
+    assert report.terms[0].separation == 0.0
 
 
 def test_confidence_failure_bound():
