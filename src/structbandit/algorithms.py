@@ -25,11 +25,10 @@ agent folds them into its counts at once (a settled arm's Bernoulli
 rewards only as their count of ones, ``Environment.hits``).  SUCB's arm
 changes only with its confidence set, so after a select/observe step its
 play goes on with that arm while a per-step check proves that a select
-would change nothing.  ``simulate`` folds a round robin's regret left to
-right and adds a one-arm play's constant gap in exact integer ulps, one
-binade at a time (``_repeat_add``), so every output keeps the bits of the
-step-by-step path.  The scalar ``select``/``observe`` path stays the public
-interface and the tests' oracle.
+would change nothing.  ``simulate`` adds each play's gaps to the regret
+left to right (``np.add.accumulate``), keeping the bits of the step-by-step
+path.  The scalar ``select``/``observe`` path stays the public interface
+and the tests' oracle.
 
 UCB1's arm choice depends on every reward, so it has no blocks; instead
 ``simulate_ucb1`` steps the R runs of a batch together on R x K arrays,
@@ -41,7 +40,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -56,8 +54,6 @@ ALGORITHMS = tuple(READ_FIELDS)
 
 _DRAW_CHUNK = 8192
 _FLOAT_MAX = sys.float_info.max
-# a binade of ulp u spans [2^52 u, 2^53 u)
-_BINADE_TOP = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -198,49 +194,6 @@ class _Agent:
 def _fold(total: float, values: np.ndarray) -> float:
     """total + values[0] + values[1] + ..., added strictly left to right."""
     return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
-
-
-def _repeat_add(total: float, gap: float, k: int, marks: list[int]) -> tuple[list[float], float]:
-    """The values after each step in `marks` (sorted, in [1, k]) and after
-    step k of x <- x + gap from x = total, with the bits of k float
-    additions in a few integer operations per binade.
-
-    Let x >= gap lie in a binade of ulp u (every x < 2^-1021 has u =
-    2^-1074), x = X*u, and gap = (q + f)*u, q an integer and 0 <= f < 1
-    (gap/u is exact, or underflows only where D = 0 below).  The exact sum
-    (X + q + f)*u rounds to (X + D)*u, D = q for f < 1/2 and q + 1 for
-    f > 1/2, whatever X, while X + D < 2^53 keeps it in the binade.  So a
-    binade's steps are X + j*D in exact integer ulps.  Single float
-    additions take the other steps: x < gap, the one binade where f = 1/2
-    (a tie rounds to even, so D depends on X) and the step into the next
-    binade.  D = 0 means x + gap == x for good.
-    """
-    out, i = [], 0
-    x, j = total, 0
-    while j < k:
-        n = 0
-        if gap <= x:
-            u = math.ulp(x)
-            frac, units = math.modf(gap / u)
-            if frac != 0.5:
-                step = int(units) + (frac > 0.5)
-                if not step:
-                    return out + [x] * (len(marks) - i), x
-                base = int(x / u)
-                n = min((_BINADE_TOP - 1 - base) // step, k - j)
-        if n:
-            while i < len(marks) and marks[i] <= j + n:
-                out.append((base + (marks[i] - j) * step) * u)
-                i += 1
-            x = (base + n * step) * u
-            j += n
-        else:
-            x += gap
-            j += 1
-            while i < len(marks) and marks[i] == j:
-                out.append(x)
-                i += 1
-    return out, x
 
 
 def _empirical_best(pulls: list[int], rewards: list[float]) -> int:
@@ -787,11 +740,8 @@ class Environment:
 class RunResult:
     """One seeded trajectory: regret at each checkpoint plus final pulls.
 
-    elapsed and actions are excluded from equality so that identical seeded
-    runs compare equal regardless of scheduling; actions holds the per-step
-    arm log and is only filled in audit mode.  elapsed is the wall time of
-    the run's step loop; runs stepped together by ``simulate_ucb1`` each get
-    an equal share of their block's loop time.
+    actions holds the per-step arm log, only filled in audit mode, and is
+    excluded from equality so that a run compares equal with or without it.
     """
 
     algorithm: str
@@ -799,20 +749,28 @@ class RunResult:
     regret: tuple[float, ...]
     pull_counts: tuple[int, ...]
     seed: int | None
-    elapsed: float = field(default=0.0, compare=False)
     actions: tuple[int, ...] | None = field(default=None, compare=False)
 
     def final_regret(self) -> float:
         return self.regret[-1]
 
 
+def check_integer(value, name: str) -> int:
+    """value as an int if it is a Python or numpy integer (a bool is not
+    one), else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _checkpoint_list(horizon: int, checkpoints) -> list[int]:
     """Checked checkpoints of a run; the default is the single final step."""
+    check_integer(horizon, "horizon")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if checkpoints is None:
         checkpoints = (horizon,)
-    cps = [int(c) for c in checkpoints]
+    cps = [check_integer(c, f"checkpoints[{i}]") for i, c in enumerate(checkpoints)]
     if any(b < a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be sorted")
     if cps and (cps[0] < 1 or cps[-1] > horizon):
@@ -833,10 +791,10 @@ def simulate(agent, environment: Environment, horizon: int,
     the current draw chunk.  An eliminator plays blocks up to its next
     decision (see the module docstring), SUCB a select/observe step with
     the stretch that follows it, UCB1 and any other object with
-    select/observe one select/pull/observe step.  The regret of a play of
-    one arm, k additions of one gap, is computed in closed form with the
-    bits of adding one at a time (``_repeat_add``); that of a round robin
-    is folded left to right.
+    select/observe one select/pull/observe step.  A play's gaps are added
+    to the regret strictly left to right by ``np.add.accumulate``, with the
+    bits of adding one at a time; a single step, or a one-arm play of gap
+    0.0, is one float addition.
     """
     if agent.arm_count != environment.arm_count:
         raise ValueError(f"agent has {agent.arm_count} arms, environment {environment.arm_count}")
@@ -849,7 +807,6 @@ def simulate(agent, environment: Environment, horizon: int,
     gaps = true_gaps(environment.structure)
     gap_array = np.array(gaps)
     play = agent._play if isinstance(agent, _Agent) else partial(_Agent._play, agent)
-    start = time.perf_counter()
     regret = 0.0
     out = []
     actions = [] if audit else None
@@ -862,10 +819,9 @@ def simulate(agent, environment: Environment, horizon: int,
             marks.append(cps[pos] - t)
             pos += 1
         # partial sums keep the bits of `regret += gap` step by step (a
-        # pairwise sum or k * gap would not): one arm's gap is added in
-        # closed form, a round robin's gaps by add.accumulate, which folds
-        # strictly left to right
-        if isinstance(arms, np.ndarray):
+        # pairwise sum or k * gap would not): add.accumulate folds strictly
+        # left to right, and regret >= +0.0 makes regret + 0.0 regret itself
+        if isinstance(arms, np.ndarray) or (k > 1 and gaps[arms]):
             increments = np.empty(k + 1)
             increments[0] = regret
             increments[1:] = gap_array[arms]
@@ -873,8 +829,8 @@ def simulate(agent, environment: Environment, horizon: int,
             out += folded[marks].tolist()
             regret = float(folded[k])
         else:
-            values, regret = _repeat_add(regret, gaps[arms], k, marks)
-            out += values
+            regret += gaps[arms]
+            out += [regret] * len(marks)
         if actions is not None:
             actions.extend(np.broadcast_to(arms, k).tolist())
         t += k
@@ -884,7 +840,6 @@ def simulate(agent, environment: Environment, horizon: int,
         regret=tuple(out),
         pull_counts=agent.snapshot().pull_counts,
         seed=environment.seed,
-        elapsed=time.perf_counter() - start,
         actions=None if actions is None else tuple(actions),
     )
 
@@ -924,7 +879,6 @@ def simulate_ucb1(structures, config: AgentConfig, horizon: int, checkpoints,
     pulls_flat, sums_flat = pulls.reshape(-1), sums.reshape(-1)
     regret = np.zeros(runs)
     marks, at_mark = set(cps), {}
-    start = time.perf_counter()
     for t in range(1, horizon + 1):
         j = (t - 1) % _DRAW_CHUNK
         if j == 0:
@@ -945,7 +899,6 @@ def simulate_ucb1(structures, config: AgentConfig, horizon: int, checkpoints,
         regret += gaps[flat]
         if t in marks:
             at_mark[t] = regret.tolist()
-    elapsed = (time.perf_counter() - start) / runs
     counts = pulls.astype(np.int64).tolist()
     return tuple(
         RunResult(
@@ -954,6 +907,5 @@ def simulate_ucb1(structures, config: AgentConfig, horizon: int, checkpoints,
             regret=tuple(at_mark[c][r] for c in cps),
             pull_counts=tuple(counts[r]),
             seed=seeds[r],
-            elapsed=elapsed,
         )
         for r in range(runs))

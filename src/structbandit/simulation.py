@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import (AgentConfig, Environment, RunResult, make_agent, next_period_end,
-                         simulate, simulate_ucb1)
+from .algorithms import (AgentConfig, Environment, RunResult, check_integer, make_agent,
+                         next_period_end, simulate, simulate_ucb1)
 from .gaps import Structure
 from .structures import GeneratorSpec, generate_random
 
@@ -52,6 +52,8 @@ class ExperimentConfig:
     source: str = "inline"
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "runs", "base_seed"):
+            check_integer(getattr(self, name), name)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 2:
@@ -74,6 +76,8 @@ class ExperimentConfig:
                                  f"schedule before horizon {self.horizon}") from None
         if self.checkpoints is not None:
             cps = self.checkpoints
+            for i, c in enumerate(cps):
+                check_integer(c, f"checkpoints[{i}]")
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
             if not cps or cps[0] < 1 or cps[-1] != self.horizon:
@@ -111,6 +115,7 @@ class BatchResult:
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
     """Geometric schedule of at most 200 steps from 1 to the horizon, included."""
+    check_integer(horizon, "horizon")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     points = {int(round(horizon ** (i / 200))) for i in range(1, 201)}

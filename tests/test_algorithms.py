@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import structbandit as sb
 from helpers import mk
@@ -494,53 +493,7 @@ def test_simulate_audit_log(fig_right):
     again = sb.simulate(
         sb.SucbAgent(fig_right, sb.AgentConfig("sucb", alpha=2.0)),
         sb.Environment(fig_right, seed=7), 300, checkpoints=(100, 100, 300))
-    assert again == result  # elapsed/actions excluded from equality
-
-
-SUBNORMAL = st.integers(1, 2 ** 52 - 1).map(lambda m: m * 2.0 ** -1074)
-
-
-@st.composite
-def repeat_add_cases(draw):
-    """(total, gap, k, marks) for _repeat_add: totals of 0, subnormal, large
-    and small, gaps of 0, subnormal and random, and few-bit gaps started at
-    either end of their tie binade (ulp twice the gap's lowest set bit, so
-    gap/ulp ends in 1/2)."""
-    k = draw(st.integers(1, 10 ** 5))
-    kind = draw(st.sampled_from(("zero", "subnormal", "tie", "random")))
-    if kind == "tie":
-        mantissa, exponent = draw(st.integers(1, 255)), draw(st.integers(-80, 60))
-        gap = mantissa * 2.0 ** exponent
-        ulp = 2 * (mantissa & -mantissa) * 2.0 ** exponent
-        units = draw(st.one_of(st.integers(2 ** 52, 2 ** 52 + 2 ** 20),
-                               st.integers(2 ** 53 - 2 ** 20, 2 ** 53 - 1)))
-        total = units * ulp
-    else:
-        gap = {"zero": st.just(0.0), "subnormal": SUBNORMAL,
-               "random": st.floats(0.0, 1e300)}[kind]
-        gap = draw(gap)
-        total = draw(st.one_of(st.just(0.0), SUBNORMAL, st.floats(1e300, sys.float_info.max),
-                               st.floats(0.0, 1e4)))
-    marks = sorted(draw(st.lists(st.integers(1, k), max_size=30)))
-    return total, gap, k, marks
-
-
-@settings(max_examples=300, deadline=None)
-@given(repeat_add_cases())
-@example((0.0, 0.1, 100, [1, 2, 3, 4, 5, 50]))  # crosses 0.1's tie binade [0.25, 0.5)
-@example((0.0, 2.0 ** -1074, 5, [5]))
-@example((2.0 ** 1023, 2.0 ** 1023, 3, [1, 2]))  # overflows to inf
-def test_repeat_add_matches_accumulate(case):
-    # the closed-form fold of a one-arm play against add.accumulate, which
-    # adds strictly left to right, bit for bit at every mark and at the end
-    total, gap, k, marks = case
-    increments = np.full(k + 1, gap)
-    increments[0] = total
-    with np.errstate(over="ignore"):
-        folded = np.add.accumulate(increments)
-    values, end = sb.algorithms._repeat_add(total, gap, k, marks)
-    assert values == folded[marks].tolist()
-    assert end == folded[k]
+    assert again == result  # actions excluded from equality
 
 
 BLOCK_STRUCTURES = {
@@ -611,6 +564,31 @@ def test_forced_blocks_match_scalar_steps(name, config, reward):
     if config.alpha == 0.05:
         # a nonzero gap in a block: k * gap would not give the sums above
         assert max(settled_gaps) > 0.0
+
+
+@pytest.mark.parametrize("config,seed", [
+    (SAE, 0), (ASAE_001, 0), (sb.AgentConfig("sucb"), 0), (None, 0),
+    (sb.AgentConfig("sae", alpha=0.05, horizon=30_000), 5)],
+    ids=["sae", "asae_001", "sucb", "fixed_arm", "sae_a005_seed5"])
+def test_sparse_checkpoints_match_every_step(fig_right, config, seed):
+    # checkpoints that fall inside multi-step plays, on either side of the
+    # 8192-draw refill and twice on one step take the values that a run
+    # with every step a checkpoint records there
+    horizon = 30_000
+    cps = sorted([1, 2, 8191, 8192, 8192, 8193, *sb.default_checkpoints(horizon)])
+
+    def run(checkpoints):
+        agent = FixedArm(2) if config is None else sb.make_agent(fig_right, config)
+        env = sb.Environment(fig_right, seed=seed)
+        return agent, sb.simulate(agent, env, horizon, checkpoints=checkpoints)
+
+    agent, sparse = run(cps)
+    _, every = run(range(1, horizon + 1))
+    assert sparse.regret == tuple(every.regret[c - 1] for c in cps)
+    assert sparse.pull_counts == every.pull_counts
+    if seed == 5:
+        # settled on a suboptimal fallback: its blocks add a nonzero gap
+        assert sb.true_gaps(fig_right)[agent.fallback_arm] > 0.0
 
 
 @pytest.mark.parametrize("config", [SAE, ASAE_001, ASAE_1], ids=["sae", "asae_001", "asae_1"])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
@@ -123,6 +124,31 @@ def test_experiment_config_validation(fig_right):
         sb.ExperimentConfig(fig_right, agents, horizon=100, checkpoints=(50, 50, 100))
     with pytest.raises(ValueError):
         sb.ExperimentConfig(fig_right, agents, horizon=100, checkpoints=(50, 99))
+
+
+def test_schedules_must_be_integers(fig_right):
+    # a float horizon or checkpoint would run int() steps under its own label
+    agents = (sb.AgentConfig("sucb"),)
+    for fields, name in [({"horizon": 10.5}, "horizon"),
+                         ({"horizon": True}, "horizon"),
+                         ({"checkpoints": (2.5, 10)}, r"checkpoints\[0\]"),
+                         ({"checkpoints": (2, np.float64(10.0))}, r"checkpoints\[1\]"),
+                         ({"runs": 3.0}, "runs"),
+                         ({"base_seed": True}, "base_seed")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sb.ExperimentConfig(fig_right, agents, **{"horizon": 10, **fields})
+    config = sb.ExperimentConfig(fig_right, agents, horizon=np.int64(10), runs=np.int32(2),
+                                 base_seed=np.uint8(3), checkpoints=(np.int64(2), 10))
+    assert config.resolved_checkpoints() == (2, 10)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        sb.default_checkpoints(10.5)
+    agent = sb.make_agent(fig_right, agents[0])
+    env = sb.Environment(fig_right, seed=0)
+    for horizon, checkpoints in [(10.0, None), (10, (True, 9)), (10, (1, 9.9))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            sb.simulate(agent, env, horizon, checkpoints=checkpoints)
+    result = sb.simulate(agent, env, np.int64(10), checkpoints=(np.int16(1), 9))
+    assert result.checkpoints == (1, 9) and type(result.checkpoints[0]) is int
 
 
 def test_run_batch_invariants(fig_right, small_batch):
