@@ -40,12 +40,13 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .gaps import RewardSpec, Structure, optimal_arm_set, true_gaps
+from .structures import json_value
 
 # each algorithm and the AgentConfig fields it reads
 READ_FIELDS = {"sae": ("alpha", "beta", "horizon"), "asae": ("alpha", "beta", "eta"),
@@ -90,6 +91,8 @@ class AgentConfig:
             raise ValueError(f"{self.algorithm} horizon must be >= {least}, got {self.horizon}")
         if self.sigma2 is not None and not 0.0 < self.sigma2 <= _FLOAT_MAX:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        for spec in fields(self):  # each field of the JSON kind its annotation names
+            json_value(getattr(self, spec.name), spec.type, spec.name)
 
 
 @dataclass(frozen=True)
@@ -755,25 +758,18 @@ class RunResult:
         return self.regret[-1]
 
 
-def check_integer(value, name: str) -> int:
-    """value as an int if it is a Python or numpy integer (a bool is not
-    one), else a ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _checkpoint_list(horizon: int, checkpoints) -> list[int]:
     """Checked checkpoints of a run; the default is the single final step."""
-    check_integer(horizon, "horizon")
-    if horizon < 1:
+    if json_value(horizon, "int", "horizon") < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if checkpoints is None:
         checkpoints = (horizon,)
-    cps = [check_integer(c, f"checkpoints[{i}]") for i, c in enumerate(checkpoints)]
+    cps = [int(json_value(c, "int", f"checkpoints[{i}]")) for i, c in enumerate(checkpoints)]
+    if not cps:
+        raise ValueError("checkpoints must hold at least one step")
     if any(b < a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be sorted")
-    if cps and (cps[0] < 1 or cps[-1] > horizon):
+    if cps[0] < 1 or cps[-1] > horizon:
         raise ValueError("checkpoints must lie in [1, horizon]")
     return cps
 

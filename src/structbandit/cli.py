@@ -400,13 +400,12 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
         print(f"running {figure} ({config['structure']['builder']}, n={config['horizon']}, "
               f"{config['runs']} runs) ...", flush=True)
         batch = _run_config(config, args.workers, args.seed, row.get("source"))
-        out = os.path.join(args.out, figure)
-        write_batch(out, batch)
+        paths = write_batch(os.path.join(args.out, figure), batch)
         checks += [(figure, *_check(batch, *check)) for check in row["checks"]]
         if "fig4" in row:
             os.makedirs(os.path.join(args.out, "fig4"), exist_ok=True)
             for tag in batch.aggregates:
-                shutil.copyfile(os.path.join(out, f"{tag}_pulls.csv"),
+                shutil.copyfile(paths[f"{tag}_pulls"],
                                 os.path.join(args.out, "fig4", f"{row['fig4']}_{tag}_pulls.csv"))
     print()
     return _report_checks(checks, args.out)

@@ -21,14 +21,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .algorithms import (AgentConfig, Environment, RunResult, check_integer, make_agent,
-                         next_period_end, simulate, simulate_ucb1)
+from .algorithms import (AgentConfig, Environment, RunResult, make_agent, next_period_end,
+                         simulate, simulate_ucb1)
 from .gaps import Structure
-from .structures import GeneratorSpec, generate_random
+from .structures import GeneratorSpec, generate_random, json_value
 
 __all__ = [
     "AggregateResult", "BatchResult", "ExperimentConfig", "RunResult",
@@ -53,7 +53,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("horizon", "runs", "base_seed"):
-            check_integer(getattr(self, name), name)
+            json_value(getattr(self, name), "int", name)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 2:
@@ -77,7 +77,7 @@ class ExperimentConfig:
         if self.checkpoints is not None:
             cps = self.checkpoints
             for i, c in enumerate(cps):
-                check_integer(c, f"checkpoints[{i}]")
+                json_value(c, "int", f"checkpoints[{i}]")
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
             if not cps or cps[0] < 1 or cps[-1] != self.horizon:
@@ -115,8 +115,7 @@ class BatchResult:
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
     """Geometric schedule of at most 200 steps from 1 to the horizon, included."""
-    check_integer(horizon, "horizon")
-    if horizon < 1:
+    if json_value(horizon, "int", "horizon") < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     points = {int(round(horizon ** (i / 200))) for i in range(1, 201)}
     points.add(horizon)
@@ -142,26 +141,19 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        # the even and the odd coefficient of step m, one half-step each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < eps:  # converged after the odd half-step
             break
     return h
 
@@ -367,19 +359,6 @@ def write_pulls_csv(path: str, aggregate: AggregateResult) -> None:
                 enumerate(zip(aggregate.mean_pulls, aggregate.pulls_half_width))))
 
 
-def _agent_entry(agent_config: AgentConfig, config: ExperimentConfig) -> dict:
-    return {
-        "algorithm": agent_config.algorithm,
-        "alpha": agent_config.alpha,
-        "beta": agent_config.beta,
-        "eta": agent_config.eta,
-        "horizon": agent_config.horizon,
-        "sigma2": agent_config.sigma2,
-        "seeds": [str(stream_seed(config.base_seed, agent_config.algorithm, r))
-                  for r in range(config.runs)],
-    }
-
-
 def write_batch(out_dir: str, batch: BatchResult) -> dict[str, str]:
     """Write per-algorithm CSVs plus a manifest; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -411,7 +390,8 @@ def write_batch(out_dir: str, batch: BatchResult) -> dict[str, str]:
         "base_seed": config.base_seed,
         "level": config.level,
         "checkpoint_count": len(config.resolved_checkpoints()),
-        "agents": [_agent_entry(a, config) for a in config.agents],
+        "agents": [{**asdict(a), "seeds": [str(r.seed) for r in batch.runs[a.algorithm]]}
+                   for a in config.agents],
         "files": {key: os.path.basename(value) for key, value in sorted(paths.items())},
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -27,15 +27,16 @@ MAX_MEANS = 10**6
 
 
 # a JSON kind, as a constructor annotation names it -> (Python types, words)
-_JSON_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
-               "bool": (bool, "true or false"), "str": (str, "a string"), "list": (list, "a list")}
+_JSON_KINDS = {"int": ((int, np.integer), "an integer"),
+               "float": ((int, float), "a finite number"), "bool": (bool, "true or false"),
+               "str": (str, "a string"), "list": (list, "a list")}
 
 
 def json_value(value, kind: str, name: str):
     """``value`` if it is a JSON value of ``kind``: "int", "float", "bool",
     "str" or "list", optionally followed by "| None".  A bool is never a
-    number, an integer must fit in a float, and a float must be finite;
-    anything else raises a ValueError naming ``name``."""
+    number, an integer (Python or numpy) must fit in a float, and a float
+    must be finite; anything else raises a ValueError naming ``name``."""
     base, _, nullable = kind.partition(" | ")
     types, words = _JSON_KINDS[base]
     if value is None and nullable == "None":
@@ -77,8 +78,17 @@ def _nudge_ties(rows) -> np.ndarray:
     return rows
 
 
-def _segment(f: float, start: float, end: float) -> float:
-    return start + (end - start) * f
+def _built(means, true_index: int, builder: str, seed, flags: dict) -> Structure:
+    """The structure of ``means``, with the provenance record that its file keeps."""
+    return Structure(means, true_index,
+                     provenance={"builder": builder, "seed": seed, "flags": flags})
+
+
+# figure_left, per region: each arm's (start, end), its mean at fraction f
+# of the region being start + (end - start) * f; a constant arm is (c, c)
+_FIGURE_LEFT = (((0.85, 0.8), (0.8, 0.8), (0.6, 0.8)),
+                ((0.8, 0.4), (0.2, 0.2), (0.86, 0.86)),
+                ((0.4, 0.4), (0.8, 0.8), (0.8, 0.6)))
 
 
 def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) -> Structure:
@@ -101,42 +111,14 @@ def build_figure_left(grid_per_region: int = 17, informative_arm2: bool = True) 
     if 9 * grid_per_region > MAX_MEANS:  # 3 * grid_per_region models x 3 arms
         raise ValueError(f"grid_per_region must be at most {MAX_MEANS // 9} (3 arms x 3 regions "
                          f"x grid_per_region means, at most {MAX_MEANS}), got {grid_per_region}")
-
-    def arm0(region: int, f: float) -> float:
-        return (_segment(f, 0.85, 0.8), _segment(f, 0.8, 0.4), 0.4)[region]
-
-    def arm1(region: int, f: float) -> float:
-        if not informative_arm2:
-            return 0.8
-        return (0.8, 0.2, 0.8)[region]
-
-    def arm2(region: int, f: float) -> float:
-        return (_segment(f, 0.6, 0.8), 0.86, _segment(f, 0.8, 0.6))[region]
-
-    rows = []
-    for region in range(3):
-        for j in range(grid_per_region):
-            f = (j + 0.5) / grid_per_region
-            rows.append([arm0(region, f), arm1(region, f), arm2(region, f)])
-
-    # Model nearest the centre of region 1 (grid index closest to f = 1/2).
-    true_index = min(
-        range(grid_per_region),
-        key=lambda j: (abs((j + 0.5) / grid_per_region - 0.5), j),
-    )
-    return Structure(
-        _nudge_ties(rows),
-        true_index=true_index,
-        reward=RewardSpec("bernoulli"),
-        provenance={
-            "builder": "figure_left",
-            "seed": None,
-            "flags": {
-                "grid_per_region": grid_per_region,
-                "informative_arm2": informative_arm2,
-            },
-        },
-    )
+    midpoints = [(j + 0.5) / grid_per_region for j in range(grid_per_region)]
+    rows = [[start + (end - start) * f for start, end in
+             (arms if informative_arm2 else (arms[0], (0.8, 0.8), arms[2]))]
+            for arms in _FIGURE_LEFT for f in midpoints]
+    # the first model nearest f = 1/2
+    true_index = min(range(grid_per_region), key=lambda j: abs(midpoints[j] - 0.5))
+    return _built(_nudge_ties(rows), true_index, "figure_left", None,
+                  {"grid_per_region": grid_per_region, "informative_arm2": informative_arm2})
 
 
 def build_figure_right(arm1_fourth_model: float = 0.92) -> Structure:
@@ -153,16 +135,8 @@ def build_figure_right(arm1_fourth_model: float = 0.92) -> Structure:
         (0.8, 0.4, 0.6, 0.88),
         (0.8, float(arm1_fourth_model), 0.6, 0.5),
     ]
-    return Structure(
-        _nudge_ties(rows),
-        true_index=0,
-        reward=RewardSpec("bernoulli"),
-        provenance={
-            "builder": "figure_right",
-            "seed": None,
-            "flags": {"arm1_fourth_model": float(arm1_fourth_model)},
-        },
-    )
+    return _built(_nudge_ties(rows), 0, "figure_right", None,
+                  {"arm1_fourth_model": float(arm1_fourth_model)})
 
 
 @dataclass(frozen=True)
@@ -243,23 +217,14 @@ def generate_random(spec: GeneratorSpec) -> Structure:
     rows = np.vstack([base, _nudge_ties(hard)])
     clamped = (spec.base_model_count + np.flatnonzero(lifted > 1.0)).tolist()
 
-    return Structure(
-        rows,
-        true_index=true_index,
-        reward=RewardSpec("bernoulli"),
-        provenance={
-            "builder": "random",
-            "seed": spec.seed,
-            "flags": {
-                "arm_count": spec.arm_count,
-                "base_model_count": spec.base_model_count,
-                "hard_model_count": spec.hard_model_count,
-                "optimistic_scale": spec.optimistic_scale,
-                "shrink_factor": spec.shrink_factor,
-                "clamped_models": clamped,
-            },
-        },
-    )
+    return _built(rows, true_index, "random", spec.seed, {
+        "arm_count": spec.arm_count,
+        "base_model_count": spec.base_model_count,
+        "hard_model_count": spec.hard_model_count,
+        "optimistic_scale": spec.optimistic_scale,
+        "shrink_factor": spec.shrink_factor,
+        "clamped_models": clamped,
+    })
 
 
 def save_structure(structure: Structure, path) -> None:

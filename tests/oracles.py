@@ -294,6 +294,31 @@ def _oracle_nudge_ties(means):
     return means
 
 
+def oracle_figure_left(grid, informative):
+    """figure_left's mean rows and true index off the builder's docstring:
+    per region, a model at each midpoint f = (j + 0.5) / grid, where arm 0
+    falls 0.85 -> 0.8, falls 0.8 -> 0.4, then stays at 0.4; arm 1 is 0.8,
+    but 0.2 in the middle region when informative; arm 2 rises 0.6 -> 0.8,
+    stays at 0.86, then falls 0.8 -> 0.6.  The true model is the first-region
+    model nearest f = 1/2."""
+    def line(start, end, f):
+        return start + (end - start) * f
+
+    rows = []
+    for region in range(3):
+        for j in range(grid):
+            f = (j + 0.5) / grid
+            if region == 0:
+                means = [line(0.85, 0.8, f), 0.8, line(0.6, 0.8, f)]
+            elif region == 1:
+                means = [line(0.8, 0.4, f), 0.2 if informative else 0.8, 0.86]
+            else:
+                means = [0.4, 0.8, line(0.8, 0.6, f)]
+            rows.append(_oracle_nudge_ties(means))
+    distance = [abs((j + 0.5) / grid - 0.5) for j in range(grid)]
+    return rows, distance.index(min(distance))
+
+
 def oracle_generate_random(spec):
     """The random generator as it was written one model at a time, over
     lists of Python floats, with the same Philox draws in the same order."""

@@ -11,6 +11,7 @@ import pytest
 import structbandit as sb
 from helpers import mk
 from oracles import sucb_active_mask, sucb_arm
+from structbandit.algorithms import simulate_ucb1
 
 FIG_LEFT_CONFIG = sb.AgentConfig("sae", alpha=2.0, beta=1.0, horizon=10_000)
 
@@ -83,6 +84,18 @@ def test_agent_config_validation():
     with pytest.raises(ValueError, match="sae horizon must be >= 2"):
         replace(sb.AgentConfig("sae"), horizon=1)
     assert sb.AgentConfig("asae", horizon=1).horizon == 1
+    # each field is of its annotation's JSON kind: a float horizon would run
+    # SAE with log(100.5), a bool parameter as 1
+    with pytest.raises(ValueError, match="horizon must be an integer, got 100.5"):
+        sb.AgentConfig("sae", horizon=100.5)
+    with pytest.raises(ValueError, match="horizon must be an integer, got True"):
+        sb.AgentConfig("asae", horizon=True)
+    with pytest.raises(ValueError, match="horizon is an integer too large for a float"):
+        sb.AgentConfig("sae", horizon=10 ** 400)
+    for name in ("alpha", "beta", "eta", "sigma2"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number, got True"):
+            sb.AgentConfig("sucb", **{name: True})
+    assert sb.AgentConfig("sae", horizon=np.int64(100)).horizon == 100
 
 
 def test_make_agent_dispatch(fig_right):
@@ -475,6 +488,11 @@ def test_simulate_contracts(fig_right):
         sb.simulate(agent, env, 10, checkpoints=(0, 5))
     with pytest.raises(ValueError):
         sb.simulate(agent, env, 10, checkpoints=(5, 11))
+    # no checkpoint would leave no final regret
+    with pytest.raises(ValueError, match="checkpoints"):
+        sb.simulate(agent, env, 10, checkpoints=())
+    with pytest.raises(ValueError, match="checkpoints"):
+        simulate_ucb1((fig_right,), sb.AgentConfig("ucb1"), 10, (), (0,))
 
 
 def test_simulate_audit_log(fig_right):

@@ -137,6 +137,9 @@ def test_schedules_must_be_integers(fig_right):
                          ({"base_seed": True}, "base_seed")]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             sb.ExperimentConfig(fig_right, agents, **{"horizon": 10, **fields})
+    # refused here, not as an OverflowError inside run_batch
+    with pytest.raises(ValueError, match="horizon is an integer too large for a float"):
+        sb.ExperimentConfig(fig_right, agents, horizon=10 ** 400)
     config = sb.ExperimentConfig(fig_right, agents, horizon=np.int64(10), runs=np.int32(2),
                                  base_seed=np.uint8(3), checkpoints=(np.int64(2), 10))
     assert config.resolved_checkpoints() == (2, 10)
@@ -149,6 +152,11 @@ def test_schedules_must_be_integers(fig_right):
             sb.simulate(agent, env, horizon, checkpoints=checkpoints)
     result = sb.simulate(agent, env, np.int64(10), checkpoints=(np.int16(1), 9))
     assert result.checkpoints == (1, 9) and type(result.checkpoints[0]) is int
+    # a numpy-integer horizon reaches every agent's config and runs as its int
+    agents = (sb.AgentConfig("sae"), sb.AgentConfig("asae"), sb.AgentConfig("ucb1"))
+    batches = [sb.run_batch(sb.ExperimentConfig(fig_right, agents, horizon=h, runs=2))
+               for h in (np.int64(50), 50)]
+    assert batches[0].runs == batches[1].runs
 
 
 def test_run_batch_invariants(fig_right, small_batch):

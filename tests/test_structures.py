@@ -40,6 +40,18 @@ def test_figure_left_flat_variant():
         sb.build_figure_left(grid_per_region=1)
 
 
+@pytest.mark.parametrize("informative", [True, False])
+@pytest.mark.parametrize("grid", [2, 3, 5, 17, 50, 1000])
+def test_figure_left_matches_piecewise_oracle(grid, informative):
+    # bit for bit at grids beside the golden one (17)
+    structure = sb.build_figure_left(grid, informative)
+    rows, true_index = oracles.oracle_figure_left(grid, informative)
+    assert structure.means.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    assert structure.true_index == true_index
+    assert structure.provenance == {"builder": "figure_left", "seed": None, "flags": {
+        "grid_per_region": grid, "informative_arm2": informative}}
+
+
 def test_figure_right_frozen_values():
     structure = sb.build_figure_right()
     assert structure.model_count == 4
